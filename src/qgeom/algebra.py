@@ -1,9 +1,10 @@
 """Finite-dimensional representations of the noncommutative position algebra.
 
 The three position components are lam * J_i, where J_i are the standard
-spin-j angular-momentum matrices built from ladder operators in the J3
-eigenbasis. This gives an exactly known spectrum and machine-precision
-commutation relations [x_i, x_j] = i lam eps_ijk x_k.
+spin-j angular-momentum matrices in the J3 eigenbasis. There J3 is diagonal
+and J+ has one superdiagonal; a representation stores these two bands, so
+every operation is O(dim) and [x_i, x_j] = i lam eps_ijk x_k holds to
+machine precision.
 """
 
 from __future__ import annotations
@@ -16,34 +17,38 @@ import numpy as np
 from .constants import PlanckScale
 from .errors import (
     CapacityError,
-    DegeneracyError,
     InvalidSeparationError,
     InvalidSpinError,
     ShapeError,
 )
 
-# Dense eigen-decomposition cost grows cubically; closed-form paths
-# (radial_length, state counting, the variance formulas) have no cap.
+# Dense view: three complex dim x dim matrices, 256 MB each at the cap.
 DIMENSION_CAP = 4001
-
-_EIGENVALUE_RTOL = 1e-10
-_DEGENERACY_GAP = 1e-10
+BAND_CAP = 2_000_001
 
 
 @dataclass(frozen=True)
 class AlgebraRep:
-    """Dense Hermitian matrices x1, x2, x3 (units m) for a single spin j."""
+    """x_i = lam * J_i (units m) for a single spin j, stored as two bands.
+
+    ``m`` is the J3 diagonal j, ..., -j; ``ladder`` is the J+ superdiagonal.
+    """
 
     spin: float
     dim: int
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
     lam: float
+    m: np.ndarray
+    ladder: np.ndarray
 
     @property
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.x1, self.x2, self.x3)
+        """Dense Hermitian x1, x2, x3, built on each access; capped at DIMENSION_CAP."""
+        if self.dim > DIMENSION_CAP:
+            raise CapacityError(f"dense view of dim {self.dim} exceeds cap {DIMENSION_CAP}")
+        jp = np.diag(self.ladder, 1).astype(complex)
+        jm = jp.conj().T
+        return (self.lam * 0.5 * (jp + jm), self.lam * (-0.5j) * (jp - jm),
+                self.lam * np.diag(self.m).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -69,19 +74,12 @@ def build_representation(spin: float, scale: PlanckScale) -> AlgebraRep:
     """
     j = _check_spin(spin)
     dim = int(round(2 * j)) + 1
-    if dim > DIMENSION_CAP:
-        raise CapacityError(
-            f"dimension {dim} exceeds cap {DIMENSION_CAP} (spin {spin})")
+    if dim > BAND_CAP:
+        raise CapacityError(f"dimension {dim} exceeds cap {BAND_CAP} (spin {spin})")
     m = j - np.arange(dim)
     # J+ couples |j, m> -> |j, m+1> with matrix element sqrt(j(j+1) - m(m+1))
     ladder = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    jp = np.diag(ladder, 1).astype(complex)
-    jm = jp.conj().T
-    lam = scale.lam
-    x1 = lam * 0.5 * (jp + jm)
-    x2 = lam * (-0.5j) * (jp - jm)
-    x3 = lam * np.diag(m).astype(complex)
-    return AlgebraRep(spin=j, dim=dim, x1=x1, x2=x2, x3=x3, lam=lam)
+    return AlgebraRep(spin=j, dim=dim, lam=scale.lam, m=m, ladder=ladder)
 
 
 def commutator_residual(rep: AlgebraRep) -> float:
@@ -89,17 +87,17 @@ def commutator_residual(rep: AlgebraRep) -> float:
 
     Returns max over cyclic pairs of ||[x_i, x_j] - i lam x_k|| / (lam ||x_k||)
     in the Frobenius norm. Zero for the trivial spin-0 representation.
+
+    On the bands, [x1, x2] = i lam x3 reads diag [J+, J-] = 2 m, and the
+    other two pairs read (m_k - m_{k+1} - 1) ladder_k = 0.
     """
     if rep.dim == 1:
         return 0.0
-    xs = rep.components
-    worst = 0.0
-    for i, jdx, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        comm = xs[i] @ xs[jdx] - xs[jdx] @ xs[i]
-        target = 1j * rep.lam * xs[k]
-        denom = rep.lam * np.linalg.norm(xs[k])
-        worst = max(worst, np.linalg.norm(comm - target) / denom)
-    return worst
+    sq = np.concatenate(([0.0], rep.ladder ** 2, [0.0]))
+    r3 = np.linalg.norm(0.5 * np.diff(sq) - rep.m) / np.linalg.norm(rep.m)
+    r12 = (np.linalg.norm((rep.m[:-1] - rep.m[1:] - 1.0) * rep.ladder)
+           / np.linalg.norm(rep.ladder))
+    return float(max(r3, r12))
 
 
 def radial_length(spin: float, scale: PlanckScale) -> float:
@@ -109,64 +107,64 @@ def radial_length(spin: float, scale: PlanckScale) -> float:
 
 
 def radial_observable(rep: AlgebraRep) -> float:
-    """Radial observable <L> = lam * sqrt(j(j+1)) of the representation.
-
-    Also verifies that the matrix square root of the Casimir commutes with
-    every component to ||[L, x_i]|| < 1e-12 lam^2 (automatic here: in an
-    irreducible representation the Casimir is a multiple of the identity).
-    """
-    casimir = rep.x1 @ rep.x1 + rep.x2 @ rep.x2 + rep.x3 @ rep.x3
-    eigvals, eigvecs = np.linalg.eigh(casimir)
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
-    for x in rep.components:
-        if np.linalg.norm(root @ x - x @ root) >= 1e-12 * rep.lam ** 2 * max(rep.spin, 1.0):
-            raise AssertionError("radial observable does not commute with x_i")
+    """Radial observable <L> = lam * sqrt(j(j+1)); the Casimir is a scalar."""
     return rep.lam * math.sqrt(rep.spin * (rep.spin + 1.0))
 
 
-def _check_axis(axis) -> np.ndarray:
+def _polar(axis) -> tuple[float, float]:
+    """Polar and azimuthal angles (theta, phi) of a unit 3-vector."""
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,) or abs(np.linalg.norm(a) - 1.0) > 1e-10:
         raise ShapeError(f"axis must be a unit 3-vector, got {axis!r}")
-    return a
-
-
-def _projected(rep: AlgebraRep, axis: np.ndarray) -> np.ndarray:
-    return axis[0] * rep.x1 + axis[1] * rep.x2 + axis[2] * rep.x3
+    return math.atan2(math.hypot(a[0], a[1]), a[2]), math.atan2(a[1], a[0])
 
 
 def highest_weight_state(rep: AlgebraRep, axis=(0.0, 0.0, 1.0)) -> StateVector:
     """Eigenvector of (axis . x) with maximal eigenvalue, which is +j lam.
 
-    Raises DegeneracyError if the top spectral gap is below 1e-10 lam
-    (cannot happen for j > 0 with exact arithmetic).
+    The spin coherent state (Arecchi, Courtens, Gilmore & Thomas 1972): at
+    k = j - m, sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k exp(-i m phi).
     """
-    a = _check_axis(axis)
-    eigvals, eigvecs = np.linalg.eigh(_projected(rep, a))
-    if rep.dim > 1 and eigvals[-1] - eigvals[-2] < _DEGENERACY_GAP * rep.lam:
-        raise DegeneracyError(
-            f"top eigenvalue gap {eigvals[-1] - eigvals[-2]:.3e} below threshold")
-    vec = eigvecs[:, -1]
-    vec = vec / np.linalg.norm(vec)
-    return StateVector(amplitudes=vec, rep_spin=rep.spin)
+    theta, phi = _polar(axis)
+    n = rep.dim - 1
+    k = np.arange(rep.dim, dtype=float)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log(n - k[:-1]) - np.log(k[1:]))))
+    with np.errstate(divide="ignore"):
+        log_cos, log_sin = np.log(math.cos(theta / 2)), np.log(math.sin(theta / 2))
+    # 0 * log 0 = 0: the end amplitudes along +z and -z are exactly one
+    log_amp = (0.5 * log_binom
+               + np.multiply(n - k, log_cos, out=np.zeros(rep.dim), where=k < n)
+               + np.multiply(k, log_sin, out=np.zeros(rep.dim), where=k > 0))
+    vec = np.exp(log_amp - log_amp.max()) * np.exp(-1j * phi * rep.m)
+    return StateVector(amplitudes=vec / np.linalg.norm(vec), rep_spin=rep.spin)
+
+
+def _apply(rep: AlgebraRep, e: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(e . J) psi as one tridiagonal matvec, e . J = c J+ + c* J- + e3 J3."""
+    c = 0.5 * (e[0] - 1j * e[1])
+    out = e[2] * rep.m * psi
+    out[:-1] += c * rep.ladder * psi[1:]
+    out[1:] += c.conjugate() * rep.ladder * psi[:-1]
+    return out
 
 
 def transverse_variance_operator(rep: AlgebraRep, state: StateVector,
                                  axis=(0.0, 0.0, 1.0)) -> float:
     """Expectation <psi| x_perp^2 |psi> about the given axis, in m^2.
 
-    x_perp^2 is the Casimir minus the squared axis projection; for the
-    highest-weight state this equals lam^2 j exactly.
+    x_perp^2 = (e1 . x)^2 + (e2 . x)^2 with e1, e2 perpendicular to the
+    axis; for the highest-weight state this equals lam^2 j exactly.
     """
-    a = _check_axis(axis)
+    theta, phi = _polar(axis)
     psi = np.asarray(state.amplitudes, dtype=complex)
     if psi.shape != (rep.dim,):
         raise ShapeError(
             f"state dimension {psi.shape} does not match rep dim {rep.dim}")
-    casimir = rep.x1 @ rep.x1 + rep.x2 @ rep.x2 + rep.x3 @ rep.x3
-    proj = _projected(rep, a)
-    perp_sq = casimir - proj @ proj
-    return float(np.real(psi.conj() @ (perp_sq @ psi)))
+    e1 = np.array([math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi),
+                   -math.sin(theta)])
+    e2 = np.array([-math.sin(phi), math.cos(phi), 0.0])
+    return rep.lam ** 2 * sum(np.vdot(v, v).real for v in
+                              (_apply(rep, e1, psi), _apply(rep, e2, psi)))
 
 
 def angular_variance_formula(L: float, scale: PlanckScale) -> float:

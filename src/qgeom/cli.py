@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, bounds, interferometer, noise
-from .constants import derive_planck_scale
+from .constants import C_CODATA, G_CODATA, HBAR_CODATA, derive_planck_scale
 from .errors import QGeomError
 
 _FLOAT_KEYS = {"hbar", "G", "c"}
@@ -88,18 +88,16 @@ def manifest_argv(manifest: dict) -> list[str]:
 def _cmd_algebra(args) -> int:
     scale = _scale_from_args(args)
     rep = algebra.build_representation(args.spin, scale)
-    eigvals = np.sort(np.linalg.eigvalsh(rep.x3))
     payload = {
         "spin": args.spin,
         "dim": rep.dim,
         "lambda_m": _fmt(scale.lam),
-        "x3_min_m": _fmt(eigvals[0]),
-        "x3_max_m": _fmt(eigvals[-1]),
+        "x3_min_m": _fmt(rep.lam * rep.m[-1]),
+        "x3_max_m": _fmt(rep.lam * rep.m[0]),
         "radial_m": _fmt(algebra.radial_observable(rep)),
     }
     if args.check:
         payload["commutator_residual"] = _fmt(algebra.commutator_residual(rep))
-    _emit(args, payload)
     outputs = []
     if args.dump_matrices:
         for name, mat in zip(("x1", "x2", "x3"), rep.components):
@@ -108,8 +106,8 @@ def _cmd_algebra(args) -> int:
                     for r in range(rep.dim) for c in range(rep.dim))
             _write_csv(path, "row,col,re,im", rows)
             outputs.append(path)
-    if outputs:
         write_manifest("algebra", args, outputs)
+    _emit(args, payload)
     return 0
 
 
@@ -208,6 +206,8 @@ def _cmd_bounds(args) -> int:
             payload["regime"] = cls.regime
     _emit(args, payload)
     if args.out:
+        if not 0.0 < args.grid_min < args.grid_max < math.inf:
+            raise QGeomError("need 0 < --grid-min < --grid-max, both finite")
         masses = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
                              args.grid_points)
         rows = ((m, bounds.compton_size(m, scale, reduced=reduced),
@@ -223,9 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Macroscopic quantum-geometry toolkit (SI units throughout)")
     parser.add_argument("--json", action="store_true",
                         help="emit results as a JSON document")
-    parser.add_argument("--hbar", type=float, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--G", type=float, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--c", type=float, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--hbar", type=float, default=HBAR_CODATA, help=argparse.SUPPRESS)
+    parser.add_argument("--G", type=float, default=G_CODATA, help=argparse.SUPPRESS)
+    parser.add_argument("--c", type=float, default=C_CODATA, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="build a position-algebra representation")
@@ -287,12 +287,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.hbar is None:
-        args.hbar = derive_planck_scale().hbar
-    if args.G is None:
-        args.G = derive_planck_scale().G
-    if args.c is None:
-        args.c = derive_planck_scale().c
     try:
         return args.func(args)
     except QGeomError as exc:
@@ -308,3 +302,7 @@ def rerun_from_manifest(path) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

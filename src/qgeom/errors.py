@@ -14,15 +14,11 @@ class InvalidSpinError(QGeomError):
 
 
 class CapacityError(QGeomError):
-    """Requested dense representation exceeds the dimension cap."""
+    """Requested representation or dense view exceeds its dimension cap."""
 
 
 class ShapeError(QGeomError):
     """State vector and representation dimensions disagree."""
-
-
-class DegeneracyError(QGeomError):
-    """Top eigenvalue is numerically degenerate."""
 
 
 class InvalidSeparationError(QGeomError):

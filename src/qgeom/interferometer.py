@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
+from scipy.special import sici
 
 from .constants import PlanckScale
 from .errors import InvalidBandError, InvalidGridError, InvalidInputError
@@ -129,11 +129,10 @@ def detectability(config: InterferometerConfig, floor: float,
         raise InvalidInputError("floor and integration_time must be positive")
     width = f_hi - f_lo
     tau_c = 2.0 * config.arm_length / scale.c
-    # sinc^2 oscillates on a 1/tau_c scale; tell quad where the zeros are
-    zeros = [k / tau_c for k in range(1, 51) if f_lo < k / tau_c < f_hi]
-    power, _ = integrate.quad(
-        lambda f: analytic_psd(config.arm_length, f, scale),
-        f_lo, f_hi, points=zeros or None, limit=200)
+    # sinc^2(x) integrates to Si(2 pi x) / pi - sin^2(pi x) / (pi^2 x)
+    x = np.array([f_lo, f_hi]) * tau_c
+    antiderivative = sici(2.0 * np.pi * x)[0] / np.pi - x * np.sinc(x) ** 2
+    power = 2.0 * scale.lam * config.arm_length * (antiderivative[1] - antiderivative[0])
     snr = power / (floor * width) * math.sqrt(integration_time * width)
     if snr >= SNR_DETECT:
         verdict = "detect"

@@ -22,6 +22,7 @@ from .constants import PlanckScale
 from .errors import (
     InsufficientDataError,
     InsufficientDurationError,
+    InvalidInputError,
     InvalidSeparationError,
     SegmentationError,
     UndersamplingError,
@@ -56,9 +57,15 @@ class SpectrumEstimate:
     segment_length: int
 
 
+def _check_seed(name: str, value: int, bits: int) -> int:
+    if not 0 <= int(value) < 1 << bits:
+        raise InvalidInputError(f"{name} must lie in [0, 2**{bits}), got {value!r}")
+    return int(value)
+
+
 def derive_stream_seed(master_seed: int, k: int) -> int:
     """Seed for ensemble member k: disjoint Philox keys from (master_seed, k)."""
-    return (int(master_seed) << 64) | int(k)
+    return _check_seed("master_seed", master_seed, 64) << 64 | _check_seed("k", k, 64)
 
 
 def generate_timeseries(L: float, sample_rate: float, duration: float,
@@ -68,8 +75,10 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
 
     The coherence window defaults to the light round trip 2L/c; the sample
     rate must exceed 2c/L (at least 4 samples per window) and the duration
-    must cover at least 10 windows. Deterministic given all inputs.
+    must cover at least 10 windows. The seed is a 128-bit Philox key.
+    Deterministic given all inputs.
     """
+    seed = _check_seed("seed", seed, 128)
     if not (L > 0.0) or not math.isfinite(L):
         raise InvalidSeparationError(f"arm length must be positive, got {L!r}")
     tau_c = 2.0 * L / scale.c if window_time is None else float(window_time)
@@ -84,14 +93,14 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     if n < 2:
         raise InsufficientDurationError("series must contain at least 2 samples")
     m = int(round(sample_rate * tau_c))
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     white = rng.standard_normal(n + m - 1)
     # 'valid' convolution: every output sample averages a full window, so
     # the process is exactly stationary with variance lam*L
     kernel = np.full(m, math.sqrt(scale.lam * L / m))
     samples = np.convolve(white, kernel, mode="valid")
     return NoiseSeries(samples=samples, sample_rate=float(sample_rate),
-                       arm_length=float(L), seed=int(seed),
+                       arm_length=float(L), seed=seed,
                        coherence_time=tau_c)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qgeom import algebra
 from qgeom.algebra import (
+    BAND_CAP,
     AlgebraRep,
     angular_variance_formula,
     build_representation,
@@ -31,9 +32,12 @@ def test_spin_half_matches_pauli(scale):
     # oracle: x_i = (lam/2) sigma_i with the Pauli matrices written out
     rep = build_representation(0.5, scale)
     half = scale.lam / 2
-    np.testing.assert_allclose(rep.x1, half * np.array([[0, 1], [1, 0]]), atol=1e-50)
-    np.testing.assert_allclose(rep.x2, half * np.array([[0, -1j], [1j, 0]]), atol=1e-50)
-    np.testing.assert_allclose(rep.x3, half * np.array([[1, 0], [0, -1]]), atol=1e-50)
+    np.testing.assert_allclose(rep.components[0], half * np.array([[0, 1], [1, 0]]),
+                               atol=1e-50)
+    np.testing.assert_allclose(rep.components[1], half * np.array([[0, -1j], [1j, 0]]),
+                               atol=1e-50)
+    np.testing.assert_allclose(rep.components[2], half * np.array([[1, 0], [0, -1]]),
+                               atol=1e-50)
 
 
 def test_spin_zero_trivial(scale):
@@ -46,7 +50,7 @@ def test_spin_zero_trivial(scale):
 
 def test_spin_one_x3_spectrum(scale):
     rep = build_representation(1, scale)
-    eig = np.sort(np.linalg.eigvalsh(rep.x3))
+    eig = np.sort(np.linalg.eigvalsh(rep.components[2]))
     np.testing.assert_allclose(eig, [-scale.lam, 0.0, scale.lam], atol=1e-12 * scale.lam)
 
 
@@ -60,7 +64,7 @@ def test_hermiticity(spin, scale):
 @pytest.mark.parametrize("spin", SPINS)
 def test_x3_spectrum_uniform(spin, scale):
     rep = build_representation(spin, scale)
-    eig = np.sort(np.linalg.eigvalsh(rep.x3))
+    eig = np.sort(np.linalg.eigvalsh(rep.components[2]))
     expected = scale.lam * (np.arange(rep.dim) - spin)
     np.testing.assert_allclose(eig, expected, atol=1e-10 * scale.lam * max(spin, 1))
 
@@ -72,15 +76,16 @@ def test_commutator_residual_small(spin, scale):
 
 def test_commutator_residual_detects_breakage(scale):
     rep = build_representation(1, scale)
-    broken = AlgebraRep(spin=rep.spin, dim=rep.dim, x1=2.0 * rep.x1,
-                        x2=rep.x2, x3=rep.x3, lam=rep.lam)
+    broken = AlgebraRep(spin=rep.spin, dim=rep.dim, lam=rep.lam, m=rep.m,
+                        ladder=2.0 * rep.ladder)
     assert commutator_residual(broken) >= 0.5
 
 
 @pytest.mark.parametrize("spin", SPINS)
 def test_casimir(spin, scale):
     rep = build_representation(spin, scale)
-    cas = rep.x1 @ rep.x1 + rep.x2 @ rep.x2 + rep.x3 @ rep.x3
+    cas = (rep.components[0] @ rep.components[0] + rep.components[1] @ rep.components[1]
+           + rep.components[2] @ rep.components[2])
     target = scale.lam ** 2 * spin * (spin + 1) * np.eye(rep.dim)
     assert np.linalg.norm(cas - target) < 1e-12 * scale.lam ** 2 * spin * (spin + 1)
 
@@ -90,7 +95,13 @@ def test_invalid_spins(scale):
         with pytest.raises(InvalidSpinError):
             build_representation(bad, scale)
     with pytest.raises(CapacityError):
-        build_representation(2500, scale)
+        build_representation(2500, scale).components
+
+
+def test_band_cap(scale):
+    assert build_representation((BAND_CAP - 1) / 2, scale).dim == BAND_CAP
+    with pytest.raises(CapacityError):
+        build_representation(BAND_CAP / 2, scale)
 
 
 def test_radial_observable(scale):
@@ -119,9 +130,21 @@ def test_highest_weight_along_z(scale):
 def test_highest_weight_eigenvalue(axis, scale):
     rep = build_representation(1, scale)
     state = highest_weight_state(rep, axis)
-    proj = axis[0] * rep.x1 + axis[1] * rep.x2 + axis[2] * rep.x3
+    proj = (axis[0] * rep.components[0] + axis[1] * rep.components[1]
+            + axis[2] * rep.components[2])
     val = np.real(state.amplitudes.conj() @ (proj @ state.amplitudes))
     assert val == pytest.approx(scale.lam, rel=1e-10)
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.0, 10.0, 100.0])
+def test_highest_weight_matches_dense_eigh(spin, scale):
+    # oracle: top eigenvector of the dense (axis . x), equal up to a phase
+    rep = build_representation(spin, scale)
+    for axis in [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0), (0.6, 0, 0.8)]:
+        proj = sum(a * x for a, x in zip(axis, rep.components))
+        top = np.linalg.eigh(proj)[1][:, -1]
+        state = highest_weight_state(rep, axis)
+        assert 1 - abs(np.vdot(top, state.amplitudes)) < 1e-12
 
 
 def test_transverse_variance_operator(scale):
@@ -158,6 +181,17 @@ def test_operator_formula_convergence(scale):
         ratio = (transverse_variance_operator(rep, state)
                  / (scale.lam * radial_observable(rep)))
         assert 1 - 1 / (2 * spin) <= ratio <= 1 + 1e-10
+
+
+@pytest.mark.parametrize("spin", [1.0e4, 1.0e6])
+def test_operator_formula_convergence_large_spin(spin, scale):
+    # criterion 4's bounds through the band operator path, far past the dense cap
+    rep = build_representation(spin, scale)
+    for axis in [(0, 0, 1), (0.6, 0, 0.8)]:
+        state = highest_weight_state(rep, axis)
+        ratio = (transverse_variance_operator(rep, state, axis)
+                 / (scale.lam * radial_observable(rep)))
+        assert 1 - 1 / (2 * spin) <= ratio <= 1 + 1e-12
 
 
 def test_angular_variance_formula(scale):

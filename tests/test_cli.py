@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,22 @@ def test_algebra_check(capsys):
     assert float(out["commutator_residual"]) < 1e-12
     assert float(out["x3_max_m"]) == pytest.approx(50 * scale.lam, rel=1e-10)
     assert float(out["x3_min_m"]) == pytest.approx(-50 * scale.lam, rel=1e-10)
+
+
+def test_algebra_check_spin_500(capsys):
+    assert cli.run(["algebra", "--spin", "500", "--check"]) == 0
+    out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(out["commutator_residual"]) < 1e-12
+    assert float(out["x3_max_m"]) == pytest.approx(500 * codata_scale().lam, rel=1e-10)
+
+
+def test_algebra_dense_cap(tmp_path, monkeypatch, capsys):
+    # the bands have no dense cap; only the matrix dump does
+    assert run_in(tmp_path, monkeypatch, ["algebra", "--spin", "2500", "--check"]) == 0
+    assert run_in(tmp_path, monkeypatch,
+                  ["algebra", "--spin", "2500", "--dump-matrices", "p"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_algebra_json(capsys):
@@ -159,6 +179,26 @@ def test_domain_error_exit_1(capsys):
                   "--duration", "1", "--out", "x.csv"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.005",
+     "--seed", "-1", "--out", "s.csv"],
+    ["bounds", "--grid-min", "0", "--out", "c.csv"],
+])
+def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
+    assert run_in(tmp_path, monkeypatch, argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_python_m_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qgeom.cli", "bounds", "--mass", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("planck_length_m ")
 
 
 def test_injected_constants(capsys):

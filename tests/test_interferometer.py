@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import sici
 
 from qgeom import interferometer as itf
 from qgeom.algebra import transverse_variance_formula
@@ -115,6 +116,20 @@ def test_detectability_regression(scale, cfg40):
     assert report.snr_proxy == pytest.approx(oracle, rel=1e-6)
     assert report.snr_proxy == pytest.approx(23695.379, rel=1e-6)
     assert report.verdict == "detect"
+
+
+@pytest.mark.parametrize("band", [(1e8, 1e10), (1e9, 1e12)])
+def test_detectability_wide_band(band, scale, cfg40):
+    # oracle: the antiderivative of sinc^2(x) is Si(2 pi x)/pi - sin^2(pi x)/(pi^2 x)
+    tau = 2 * 40.0 / scale.c
+    x_lo, x_hi = band[0] * tau, band[1] * tau
+    integral = ((sici(2 * math.pi * x_hi)[0] - sici(2 * math.pi * x_lo)[0]) / math.pi
+                - math.sin(math.pi * x_hi) ** 2 / (math.pi ** 2 * x_hi)
+                + math.sin(math.pi * x_lo) ** 2 / (math.pi ** 2 * x_lo))
+    width = band[1] - band[0]
+    oracle = 2 * scale.lam * 40.0 * integral / (1e-41 * width) * math.sqrt(3600.0 * width)
+    report = itf.detectability(cfg40, 1e-41, band, 3600.0, scale)
+    assert report.snr_proxy == pytest.approx(oracle, rel=1e-9)
 
 
 def test_detectability_monotone_in_floor(scale, cfg40):

@@ -6,6 +6,7 @@ import pytest
 from qgeom.errors import (
     InsufficientDataError,
     InsufficientDurationError,
+    InvalidInputError,
     SegmentationError,
     UndersamplingError,
 )
@@ -54,6 +55,16 @@ def test_stream_seeds_distinct():
     seeds = {derive_stream_seed(7, k) for k in range(100)}
     assert len(seeds) == 100
     assert derive_stream_seed(7, 0) != derive_stream_seed(0, 7)
+
+
+def test_seed_domain(scale):
+    assert derive_stream_seed(2**64 - 1, 2**64 - 1) == 2**128 - 1
+    for master, k in [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)]:
+        with pytest.raises(InvalidInputError):
+            derive_stream_seed(master, k)
+    for seed in (-1, 2**128):
+        with pytest.raises(InvalidInputError):
+            generate_timeseries(L40, 2.5e7, 0.005, seed=seed, scale=scale)
 
 
 def test_generation_preconditions(scale):
