@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, algebra, bounds, interferometer, noise
+from . import __version__, algebra, bounds, csvrows, interferometer, noise
 from .constants import C_CODATA, G_CODATA, HBAR_CODATA, derive_planck_scale
-from .errors import QGeomError
+from .errors import InvalidInputError, QGeomError
 
 _FLOAT_KEYS = {"hbar", "G", "c"}
 
@@ -35,11 +35,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w") as fh:
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length 1-D columns as CSV rows of repr(float) values."""
+    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot write: {exc.strerror or exc}") from None
+    with fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        csvrows.write_rows(fh, columns)
 
 
 def _emit(args, payload: dict) -> None:
@@ -102,9 +107,9 @@ def _cmd_algebra(args) -> int:
     if args.dump_matrices:
         for name, mat in zip(("x1", "x2", "x3"), rep.components):
             path = f"{args.dump_matrices}_{name}.csv"
-            rows = ((r, c, mat[r, c].real, mat[r, c].imag)
-                    for r in range(rep.dim) for c in range(rep.dim))
-            _write_csv(path, "row,col,re,im", rows)
+            row, col = np.indices(mat.shape).reshape(2, -1)
+            _write_csv(path, "row,col,re,im",
+                       (row, col, mat.real.ravel(), mat.imag.ravel()))
             outputs.append(path)
         write_manifest("algebra", args, outputs)
     _emit(args, payload)
@@ -115,7 +120,7 @@ def _cmd_noise(args) -> int:
     scale = _scale_from_args(args)
     series = noise.generate_timeseries(args.arm_length, args.rate,
                                        args.duration, args.seed, scale)
-    _write_csv(args.out, "t_s,x_m", zip(series.times(), series.samples))
+    _write_csv(args.out, "t_s,x_m", (series.times(), series.samples))
     write_manifest("noise", args, [args.out])
     _emit(args, {
         "samples": len(series.samples),
@@ -127,10 +132,22 @@ def _cmd_noise(args) -> int:
 
 
 def _read_series_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """(sample rate, samples) of a series CSV on a uniform time grid."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: not a t_s,x_m CSV: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise QGeomError(f"{path}: expected t_s,x_m rows")
+    if not np.isfinite(data).all():
+        raise InvalidInputError(f"{path}: non-finite time or sample")
     t, x = data[:, 0], data[:, 1]
+    steps = np.diff(t)
+    step = steps[0]
+    if not step > 0.0 or max(step - steps.min(), steps.max() - step) > 1e-6 * step:
+        raise InvalidInputError(f"{path}: times must increase in uniform steps")
     return 1.0 / (t[1] - t[0]), x
 
 
@@ -141,7 +158,7 @@ def _cmd_spectrum(args) -> int:
                                arm_length=args.arm_length, seed=0,
                                coherence_time=2.0 * args.arm_length / scale.c)
     est = noise.power_spectrum(series, args.segment_length, args.overlap_fraction)
-    _write_csv(args.out, "f_hz,psd_m2_per_hz", zip(est.frequencies, est.psd))
+    _write_csv(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))
     write_manifest("spectrum", args, [args.out])
     _emit(args, {
         "segments": est.segment_count,
@@ -173,7 +190,7 @@ def _cmd_interferometer(args) -> int:
             est = interferometer.cross_spectrum(cfg, other, freqs, scale)
         else:
             est = interferometer.predict_output_psd(cfg, freqs, scale)
-        _write_csv(args.out, "f_hz,psd_m2_per_hz", zip(est.frequencies, est.psd))
+        _write_csv(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))
         outputs.append(args.out)
     if args.floor is not None:
         report = interferometer.detectability(
@@ -204,15 +221,19 @@ def _cmd_bounds(args) -> int:
         if args.size is not None:
             cls = bounds.classify(args.mass, args.size, scale, reduced=reduced)
             payload["regime"] = cls.regime
-    _emit(args, payload)
     if args.out:
         if not 0.0 < args.grid_min < args.grid_max < math.inf:
             raise QGeomError("need 0 < --grid-min < --grid-max, both finite")
+        if args.grid_points < 1:
+            raise QGeomError(f"need --grid-points >= 1, got {args.grid_points}")
         masses = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
                              args.grid_points)
-        rows = ((m, bounds.compton_size(m, scale, reduced=reduced),
-                 bounds.schwarzschild_radius(m, scale)) for m in masses)
-        _write_csv(args.out, "mass_kg,compton_m,schwarzschild_m", rows)
+        curves = (masses,
+                  [bounds.compton_size(m, scale, reduced=reduced) for m in masses],
+                  [bounds.schwarzschild_radius(m, scale) for m in masses])
+    _emit(args, payload)
+    if args.out:
+        _write_csv(args.out, "mass_kg,compton_m,schwarzschild_m", curves)
         write_manifest("bounds", args, [args.out])
     return 0
 

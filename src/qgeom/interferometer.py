@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import sici
 
 from .constants import PlanckScale
 from .errors import InvalidBandError, InvalidGridError, InvalidInputError
@@ -53,8 +52,12 @@ def load_config(path) -> InterferometerConfig:
     Keys: label, arm_length_m, position_m (three comma-separated numbers).
     Lines starting with '#' are ignored.
     """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path}: cannot read config: {exc}") from None
     fields: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -62,15 +65,14 @@ def load_config(path) -> InterferometerConfig:
         fields[key.strip()] = value.strip()
     try:
         arm = float(fields["arm_length_m"])
+        pos = tuple(float(p) for p in fields.get("position_m", "0,0,0").split(","))
     except KeyError:
         raise InvalidInputError(f"{path}: missing arm_length_m") from None
-    pos = (0.0, 0.0, 0.0)
-    if "position_m" in fields:
-        parts = [float(p) for p in fields["position_m"].split(",")]
-        if len(parts) != 3:
-            raise InvalidInputError(
-                f"{path}: position_m needs three comma-separated numbers")
-        pos = tuple(parts)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    if len(pos) != 3:
+        raise InvalidInputError(
+            f"{path}: position_m needs three comma-separated numbers")
     return InterferometerConfig(arm_length=arm, position=pos,
                                 label=fields.get("label", ""))
 
@@ -122,6 +124,9 @@ def detectability(config: InterferometerConfig, floor: float,
     * sqrt(integration_time * bandwidth). Verdict: detect >= 5,
     marginal in [1, 5), exclude < 1.
     """
+    # imported here so that only this function pays for loading scipy
+    from scipy.special import sici
+
     f_lo, f_hi = band
     if not (0.0 <= f_lo < f_hi):
         raise InvalidBandError(f"band must satisfy 0 <= f_lo < f_hi, got {band!r}")

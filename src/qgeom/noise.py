@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import PlanckScale
 from .errors import (
@@ -57,6 +57,10 @@ class SpectrumEstimate:
     segment_length: int
 
 
+# Welch segments per FFT batch: bounds the batch's working memory to a few MB
+_WELCH_BLOCK = 256
+
+
 def _check_seed(name: str, value: int, bits: int) -> int:
     if not 0 <= int(value) < 1 << bits:
         raise InvalidInputError(f"{name} must lie in [0, 2**{bits}), got {value!r}")
@@ -81,6 +85,9 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     seed = _check_seed("seed", seed, 128)
     if not (L > 0.0) or not math.isfinite(L):
         raise InvalidSeparationError(f"arm length must be positive, got {L!r}")
+    if not (math.isfinite(sample_rate) and math.isfinite(duration)):
+        raise InvalidInputError(f"sample rate and duration must be finite, "
+                                f"got {sample_rate!r} and {duration!r}")
     tau_c = 2.0 * L / scale.c if window_time is None else float(window_time)
     if sample_rate * tau_c < 4.0:
         raise UndersamplingError(
@@ -126,30 +133,37 @@ def autocorrelation(series: NoiseSeries, max_lag: float):
 
 def power_spectrum(series: NoiseSeries, segment_length: int,
                    overlap_fraction: float = 0.5) -> SpectrumEstimate:
-    """Welch one-sided PSD with Hann windowing.
+    """Welch one-sided PSD with Hann windowing (Welch 1967).
 
-    segment_length must be a power of two no longer than the series;
-    overlap_fraction in [0, 1) defaults to 50%.
+    Each segment has its mean removed and is tapered by the periodic Hann
+    window; the periodograms are averaged with density scaling and every
+    bin but DC and Nyquist is doubled. segment_length must be a power of
+    two, at least 2 and no longer than the series; overlap_fraction in
+    [0, 1) defaults to 50%.
     """
     n = len(series.samples)
-    if segment_length <= 0 or segment_length & (segment_length - 1):
+    if segment_length < 2 or segment_length & (segment_length - 1):
         raise SegmentationError(
-            f"segment_length must be a power of two, got {segment_length}")
+            f"segment_length must be a power of two of at least 2, got {segment_length}")
     if segment_length > n:
         raise SegmentationError(
             f"segment_length {segment_length} exceeds series length {n}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise SegmentationError(
             f"overlap_fraction must lie in [0, 1), got {overlap_fraction}")
-    noverlap = int(segment_length * overlap_fraction)
-    freqs, psd = signal.welch(series.samples, fs=series.sample_rate,
-                              window="hann", nperseg=segment_length,
-                              noverlap=noverlap, detrend="constant",
-                              return_onesided=True, scaling="density")
-    step = segment_length - noverlap
-    segment_count = 1 + (n - segment_length) // step
+    step = segment_length - int(segment_length * overlap_fraction)
+    segments = sliding_window_view(series.samples, segment_length)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    power = np.zeros(segment_length // 2 + 1)
+    for start in range(0, len(segments), _WELCH_BLOCK):
+        block = segments[start:start + _WELCH_BLOCK]
+        spec = np.fft.rfft((block - block.mean(axis=1, keepdims=True)) * window, axis=1)
+        power += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
+    psd = power / (len(segments) * series.sample_rate * np.sum(window ** 2))
+    psd[1:-1] *= 2.0
+    freqs = np.fft.rfftfreq(segment_length, 1.0 / series.sample_rate)
     return SpectrumEstimate(frequencies=freqs, psd=psd,
-                            segment_count=segment_count,
+                            segment_count=len(segments),
                             segment_length=segment_length)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeom import cli
+from qgeom import algebra, bounds, cli, csvrows, interferometer, noise
 from qgeom.constants import codata_scale
 
 
@@ -181,14 +181,55 @@ def test_domain_error_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# input files the invalid-input cases read; each case runs with all of them
+BAD_INPUTS = {
+    "dup.csv": "t_s,x_m\n0.0,1e-17\n0.0,2e-17\n4e-08,3e-17\n",
+    "nan.csv": "t_s,x_m\n0.0,1e-17\n4e-08,nan\n8e-08,3e-17\n",
+    "gap.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17\n1.2e-07,3e-17\n",
+    "forty.cfg": "label = a\narm_length_m = forty\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.005",
      "--seed", "-1", "--out", "s.csv"],
+    ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "inf", "--out", "s.csv"],
+    ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "nan", "--out", "s.csv"],
+    ["noise", "--arm-length", "40", "--rate", "inf", "--duration", "0.005", "--out", "s.csv"],
+    ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.005",
+     "--out", "missing/s.csv"],
+    ["spectrum", "--input", "missing.csv", "--arm-length", "40", "--out", "p.csv"],
+    ["spectrum", "--input", "dup.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "p.csv"],
+    ["spectrum", "--input", "nan.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "p.csv"],
+    ["spectrum", "--input", "gap.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "p.csv"],
+    ["interferometer", "--config", "nope.cfg", "--out", "p.csv"],
+    ["interferometer", "--config", "forty.cfg", "--out", "p.csv"],
     ["bounds", "--grid-min", "0", "--out", "c.csv"],
+    ["bounds", "--grid-points", "-3", "--out", "c.csv"],
+    ["bounds", "--grid-points", "0", "--out", "c.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
+    for name, text in BAD_INPUTS.items():
+        (tmp_path / name).write_text(text)
     assert run_in(tmp_path, monkeypatch, argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    out, err = capsys.readouterr()
+    assert out == ""  # a refused run prints no report
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_INPUTS)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qgeom.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_m_entry_point():
@@ -207,3 +248,50 @@ def test_injected_constants(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert float(doc["planck_length_m"]) == pytest.approx(1.0)
     assert float(doc["intersection_m"]) == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
+def reference_csv(header, rows):
+    return header + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                   for row in rows)
+
+
+def csv_kinds():
+    """(name, header, columns, reference rows) for every CSV the CLI writes."""
+    scale = codata_scale()
+    # more rows than one chunk, so the series is formatted by worker processes
+    series = noise.generate_timeseries(40.0, 2.5e7, 0.003, seed=5, scale=scale)
+    assert len(series.samples) > csvrows.CHUNK_ROWS
+    spec = noise.power_spectrum(series, 4096)
+    a = interferometer.InterferometerConfig(arm_length=40.0)
+    b = interferometer.InterferometerConfig(arm_length=40.0, position=(30.0, 0.0, 0.0))
+    freqs = np.linspace(0.0, 2.0e7, 2001)
+    model = interferometer.predict_output_psd(a, freqs, scale)
+    cross = interferometer.cross_spectrum(a, b, freqs, scale)
+    masses = np.logspace(-30, 40, 1000)
+    compton = [bounds.compton_size(m, scale) for m in masses]
+    schwarzschild = [bounds.schwarzschild_radius(m, scale) for m in masses]
+    mat = algebra.build_representation(3.0, scale).components[0]
+    dim = mat.shape[0]
+    row, col = np.indices(mat.shape).reshape(2, -1)
+    return [
+        ("series", "t_s,x_m", (series.times(), series.samples),
+         zip(series.times(), series.samples)),
+        ("spectrum", "f_hz,psd_m2_per_hz", (spec.frequencies, spec.psd),
+         zip(spec.frequencies, spec.psd)),
+        ("model", "f_hz,psd_m2_per_hz", (model.frequencies, model.psd),
+         zip(model.frequencies, model.psd)),
+        ("cross", "f_hz,psd_m2_per_hz", (cross.frequencies, cross.psd),
+         zip(cross.frequencies, cross.psd)),
+        ("bounds", "mass_kg,compton_m,schwarzschild_m", (masses, compton, schwarzschild),
+         ((m, bounds.compton_size(m, scale), bounds.schwarzschild_radius(m, scale))
+          for m in masses)),
+        ("matrix", "row,col,re,im", (row, col, mat.real.ravel(), mat.imag.ravel()),
+         ((r, c, mat[r, c].real, mat[r, c].imag) for r in range(dim) for c in range(dim))),
+    ]
+
+
+def test_write_csv_bytes_match_reference(tmp_path):
+    for name, header, columns, rows in csv_kinds():
+        path = tmp_path / f"{name}.csv"
+        cli._write_csv(path, header, columns)
+        assert path.read_text() == reference_csv(header, rows), name

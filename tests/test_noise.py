@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,9 +140,28 @@ def test_psd_segmentation_errors(series40):
     with pytest.raises(SegmentationError):
         power_spectrum(series40, segment_length=1000)  # not a power of two
     with pytest.raises(SegmentationError):
+        power_spectrum(series40, segment_length=1)  # no Hann taper of one sample
+    with pytest.raises(SegmentationError):
         power_spectrum(series40, segment_length=2 ** 24)
     with pytest.raises(SegmentationError):
         power_spectrum(series40, segment_length=1024, overlap_fraction=1.0)
+
+
+@pytest.mark.parametrize("segment_length", [256, 4096])
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+def test_welch_matches_scipy(series40, segment_length, overlap):
+    signal = pytest.importorskip("scipy.signal")
+    series = dataclasses.replace(series40, samples=series40.samples[:300_001])
+    est = power_spectrum(series, segment_length, overlap)
+    noverlap = int(segment_length * overlap)
+    freqs, psd = signal.welch(series.samples, fs=series.sample_rate, window="hann",
+                              nperseg=segment_length, noverlap=noverlap,
+                              detrend="constant", return_onesided=True,
+                              scaling="density")
+    np.testing.assert_array_equal(est.frequencies, freqs)
+    np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0.0)
+    step = segment_length - noverlap
+    assert est.segment_count == 1 + (300_001 - segment_length) // step
 
 
 def test_analytic_psd_values(scale):
