@@ -13,17 +13,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, algebra, bounds, csvrows, interferometer, noise
+from . import __version__, algebra, bounds, interferometer, noise
 from .constants import C_CODATA, G_CODATA, HBAR_CODATA, derive_planck_scale
 from .errors import InvalidInputError, QGeomError
 
 _FLOAT_KEYS = {"hbar", "G", "c"}
+CSV_CHUNK_ROWS = 1 << 16
+# the most worker processes that format one CSV: the largest count
+# measured, on a 2-CPU host (see CHANGES.md)
+CSV_MAX_WORKERS = 2
 
 
 def _scale_from_args(args):
@@ -35,16 +41,60 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _format_rows(columns, start: int) -> str:
+    # one C-level repr per value, so the bytes match repr(float(v))
+    cells = (map(repr, c[start:start + CSV_CHUNK_ROWS].tolist()) for c in columns)
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+_worker_columns = None  # set only in a CSV worker, by its pool's initializer
+
+
+def _init_csv_worker(columns) -> None:
+    global _worker_columns
+    _worker_columns = columns
+
+
+def _format_worker_rows(start: int) -> str:
+    return _format_rows(_worker_columns, start)
+
+
+def _csv_workers(chunks: int) -> int:
+    # fork only on Linux, only while no other Python thread runs (one could
+    # hold a lock the child needs), and never from a daemonic process,
+    # which may not have children; the children call no BLAS, so the BLAS
+    # library's own threads do not matter
+    if (chunks < 2 or not sys.platform.startswith("linux")
+            or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(len(os.sched_getaffinity(0)), CSV_MAX_WORKERS, chunks)
+
+
 def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length 1-D columns as CSV rows of repr(float) values."""
-    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    """Write equal-length 1-D columns as CSV rows of repr(float) values.
+
+    Rows are formatted CSV_CHUNK_ROWS at a time; a file of several chunks
+    is formatted by forked worker processes and written in row order, so
+    its bytes do not depend on the number of workers.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    starts = range(0, len(columns[0]), CSV_CHUNK_ROWS)
+    workers = _csv_workers(len(starts))
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot write: {exc.strerror or exc}") from None
     with fh:
         fh.write(header + "\n")
-        csvrows.write_rows(fh, columns)
+        if workers == 1:
+            fh.writelines(_format_rows(columns, start) for start in starts)
+            return
+        # forked workers inherit the columns instead of receiving them
+        # pickled, and never re-run the caller's __main__
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, _init_csv_worker, (columns,)) as pool:
+            fh.writelines(pool.imap(_format_worker_rows, starts))
 
 
 def _emit(args, payload: dict) -> None:
@@ -145,10 +195,13 @@ def _read_series_csv(path):
         raise InvalidInputError(f"{path}: non-finite time or sample")
     t, x = data[:, 0], data[:, 1]
     steps = np.diff(t)
-    step = steps[0]
-    if not step > 0.0 or max(step - steps.min(), steps.max() - step) > 1e-6 * step:
+    step = (t[-1] - t[0]) / (len(t) - 1)
+    # a time value is rounded to a few ulps of its magnitude, which for a
+    # large time offset exceeds 1e-6 of the step
+    tol = max(1e-6 * step, 4.0 * np.spacing(np.abs(t).max()))
+    if not steps.min() > 0.0 or max(step - steps.min(), steps.max() - step) > tol:
         raise InvalidInputError(f"{path}: times must increase in uniform steps")
-    return 1.0 / (t[1] - t[0]), x
+    return 1.0 / step, x
 
 
 def _cmd_spectrum(args) -> int:

@@ -1,14 +1,16 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgeom import algebra, bounds, cli, csvrows, interferometer, noise
+from qgeom import algebra, bounds, cli, interferometer, noise
 from qgeom.constants import codata_scale
 
 
@@ -221,6 +223,40 @@ def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_INPUTS)
 
 
+def test_series_csv_with_time_offset(tmp_path, monkeypatch):
+    # GPS-epoch times at 16 kHz: one ulp of t is 2.4e-7 s against a
+    # 6.1e-5 s step, so the steps of a valid file scatter by ~4e-3
+    n, rate = 4096, 16384.0
+    t = 1.3e9 + np.arange(n) / rate
+    x = np.random.default_rng(3).normal(0.0, 1e-17, n)
+    path = tmp_path / "gps.csv"
+    cli._write_csv(path, "t_s,x_m", (t, x))
+    read_rate, read_x = cli._read_series_csv(path)
+    assert read_rate == pytest.approx(rate, rel=1e-5)
+    assert np.array_equal(read_x, x)
+    assert run_in(tmp_path, monkeypatch,
+                  ["spectrum", "--input", "gps.csv", "--arm-length", "40",
+                   "--segment-length", "256", "--out", "p.csv"]) == 0
+
+
+def test_unguarded_script_writes_long_csv(tmp_path):
+    # a script without an `if __name__ == "__main__":` guard must be able
+    # to write a file of more than one chunk
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "script.py").write_text(
+        "import sys\nfrom qgeom import cli\n"
+        "sys.exit(cli.run(['noise', '--arm-length', '40', '--rate', '2.5e7',\n"
+        "                  '--duration', '0.003', '--out', 's.csv']))\n")
+    proc = subprocess.run([sys.executable, "script.py"], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "s.csv") as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows == 75_000 > cli.CSV_CHUNK_ROWS
+
+
 def test_import_loads_no_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -258,9 +294,9 @@ def reference_csv(header, rows):
 def csv_kinds():
     """(name, header, columns, reference rows) for every CSV the CLI writes."""
     scale = codata_scale()
-    # more rows than one chunk, so the series is formatted by worker processes
+    # more rows than one chunk, so the series is written in several chunks
     series = noise.generate_timeseries(40.0, 2.5e7, 0.003, seed=5, scale=scale)
-    assert len(series.samples) > csvrows.CHUNK_ROWS
+    assert len(series.samples) > cli.CSV_CHUNK_ROWS
     spec = noise.power_spectrum(series, 4096)
     a = interferometer.InterferometerConfig(arm_length=40.0)
     b = interferometer.InterferometerConfig(arm_length=40.0, position=(30.0, 0.0, 0.0))
@@ -290,8 +326,38 @@ def csv_kinds():
     ]
 
 
-def test_write_csv_bytes_match_reference(tmp_path):
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_write_csv_bytes_match_reference(max_workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_MAX_WORKERS", max_workers)
     for name, header, columns, rows in csv_kinds():
         path = tmp_path / f"{name}.csv"
         cli._write_csv(path, header, columns)
         assert path.read_text() == reference_csv(header, rows), name
+
+
+def _write_long_csv(path):
+    column = np.arange(cli.CSV_CHUNK_ROWS + 10.0)
+    cli._write_csv(path, "a,b", (column, -column))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks")
+def test_write_csv_in_daemon_process(tmp_path):
+    # a daemonic process may not start workers, so it formats inline
+    path = tmp_path / "x.csv"
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pool.apply_async(_write_long_csv, (path,)).get(timeout=60)
+    column = np.arange(cli.CSV_CHUNK_ROWS + 10.0)
+    assert path.read_text() == reference_csv("a,b", zip(column, -column))
+
+
+def test_write_csv_inline_while_threads_run():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli._csv_workers(5) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cli._csv_workers(1) == 1
