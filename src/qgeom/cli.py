@@ -237,7 +237,9 @@ def _cmd_interferometer(args) -> int:
     }
     outputs = []
     if args.out:
-        freqs = np.linspace(args.f_min, args.f_max, args.n_freq)
+        # a non-finite end puts NaN in the grid, which the model refuses
+        with np.errstate(invalid="ignore"):
+            freqs = np.linspace(args.f_min, args.f_max, args.n_freq)
         if args.config_b:
             other = interferometer.load_config(args.config_b)
             est = interferometer.cross_spectrum(cfg, other, freqs, scale)

@@ -84,8 +84,9 @@ def predict_rms(config: InterferometerConfig, scale: PlanckScale) -> float:
 
 def _check_grid(frequencies) -> np.ndarray:
     f = np.asarray(frequencies, dtype=float)
-    if f.ndim != 1 or len(f) == 0 or f[0] < 0.0 or np.any(np.diff(f) <= 0.0):
-        raise InvalidGridError("frequency grid must be non-negative and increasing")
+    if (f.ndim != 1 or len(f) == 0 or not np.all(np.isfinite(f)) or f[0] < 0.0
+            or np.any(np.diff(f) <= 0.0)):
+        raise InvalidGridError("frequency grid must be finite, non-negative and increasing")
     return f
 
 
@@ -128,10 +129,10 @@ def detectability(config: InterferometerConfig, floor: float,
     from scipy.special import sici
 
     f_lo, f_hi = band
-    if not (0.0 <= f_lo < f_hi):
-        raise InvalidBandError(f"band must satisfy 0 <= f_lo < f_hi, got {band!r}")
-    if not (floor > 0.0) or not (integration_time > 0.0):
-        raise InvalidInputError("floor and integration_time must be positive")
+    if not (0.0 <= f_lo < f_hi < math.inf):
+        raise InvalidBandError(f"band must satisfy 0 <= f_lo < f_hi < inf, got {band!r}")
+    if not (0.0 < floor < math.inf and 0.0 < integration_time < math.inf):
+        raise InvalidInputError("floor and integration_time must be positive and finite")
     width = f_hi - f_lo
     tau_c = 2.0 * config.arm_length / scale.c
     # sinc^2(x) integrates to Si(2 pi x) / pi - sin^2(pi x) / (pi^2 x)

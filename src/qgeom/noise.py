@@ -60,6 +60,11 @@ class SpectrumEstimate:
 # Welch segments per FFT batch: bounds the batch's working memory to a few MB
 _WELCH_BLOCK = 256
 
+# Lag count below which autocorrelation takes one dot product per lag instead
+# of an FFT; on a 2-vCPU Xeon the two costs cross between 350 and 750 lags
+# for 1e5-2.5e6 samples
+_ACF_DIRECT_LAGS = 512
+
 
 def _check_seed(name: str, value: int, bits: int) -> int:
     if not 0 <= int(value) < 1 << bits:
@@ -114,19 +119,32 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
 def autocorrelation(series: NoiseSeries, max_lag: float):
     """Biased sample autocorrelation out to max_lag seconds.
 
-    Returns (lags_s, acf) arrays; acf[0] is the biased sample variance.
+    Returns (lags_s, acf) arrays for lags 0..k_max, k_max = round(max_lag *
+    rate); acf[k] = sum(x0[i] * x0[i + k]) / n over the mean-removed series
+    x0, so acf[0] is the biased sample variance. max_lag must be finite, at
+    least 0 and at most a quarter of the duration.
+
+    Fewer than _ACF_DIRECT_LAGS lags are computed directly, one dot product
+    per lag, in O(n * k_max). Longer lag ranges use the FFT, zero-padded to
+    the smallest power of two of at least n + k_max samples: the shortest
+    padding at which the circular correlation does not wrap onto lags up to
+    k_max. The two paths agree to rounding.
     """
     x = series.samples
     n = len(x)
+    if not (math.isfinite(max_lag) and max_lag >= 0.0):
+        raise InvalidInputError(f"max_lag must be finite and non-negative, got {max_lag!r}")
     if max_lag > series.duration / 4.0:
         raise InsufficientDataError(
             f"max_lag {max_lag} s exceeds a quarter of the {series.duration} s series")
     k_max = int(round(max_lag * series.sample_rate))
     x0 = x - x.mean()
-    nfft = 1 << int(math.ceil(math.log2(2 * n)))
-    spec = np.fft.rfft(x0, nfft)
-    full = np.fft.irfft(spec * spec.conj(), nfft)[: k_max + 1]
-    acf = full / n
+    if k_max + 1 < _ACF_DIRECT_LAGS:
+        acf = np.array([x0[:n - k] @ x0[k:] for k in range(k_max + 1)]) / n
+    else:
+        nfft = 1 << (n + k_max - 1).bit_length()
+        spec = np.fft.rfft(x0, nfft)
+        acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[: k_max + 1] / n
     lags = np.arange(k_max + 1) / series.sample_rate
     return lags, acf
 

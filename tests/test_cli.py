@@ -212,6 +212,11 @@ BAD_INPUTS = {
     ["bounds", "--grid-min", "0", "--out", "c.csv"],
     ["bounds", "--grid-points", "-3", "--out", "c.csv"],
     ["bounds", "--grid-points", "0", "--out", "c.csv"],
+    ["interferometer", "--arm-length", "40", "--f-min", "nan", "--out", "x.csv"],
+    ["interferometer", "--arm-length", "40", "--f-max", "inf", "--out", "y.csv"],
+    ["interferometer", "--arm-length", "40", "--floor", "1e-41", "--band-hi", "inf"],
+    ["interferometer", "--arm-length", "40", "--floor", "1e-41",
+     "--integration-time", "inf"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():

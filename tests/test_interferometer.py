@@ -62,6 +62,11 @@ def test_output_psd_grid_validation(scale, cfg40):
         itf.predict_output_psd(cfg40, [1.0, 0.5, 2.0], scale)
     with pytest.raises(InvalidGridError):
         itf.predict_output_psd(cfg40, [-1.0, 0.0, 1.0], scale)
+    for grid in ([math.nan, 1.0], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]):
+        with pytest.raises(InvalidGridError):
+            itf.predict_output_psd(cfg40, grid, scale)
+        with pytest.raises(InvalidGridError):
+            itf.cross_spectrum(cfg40, cfg40, grid, scale)
 
 
 def test_cross_spectrum_colocated(scale, cfg40):
@@ -144,6 +149,20 @@ def test_detectability_invalid_band(scale, cfg40):
         itf.detectability(cfg40, 1e-40, (5e6, 1e6), 100.0, scale)
     with pytest.raises(InvalidBandError):
         itf.detectability(cfg40, 1e-40, (2e6, 2e6), 100.0, scale)
+
+
+@pytest.mark.parametrize("floor, band, integration_time, error", [
+    (1e-41, (1e6, math.inf), 3600.0, InvalidBandError),
+    (1e-41, (math.nan, 5e6), 3600.0, InvalidBandError),
+    (1e-41, (1e6, math.nan), 3600.0, InvalidBandError),
+    (math.inf, (1e6, 5e6), 3600.0, InvalidInputError),
+    (math.nan, (1e6, 5e6), 3600.0, InvalidInputError),
+    (1e-41, (1e6, 5e6), math.inf, InvalidInputError),
+    (1e-41, (1e6, 5e6), math.nan, InvalidInputError),
+])
+def test_detectability_non_finite(scale, cfg40, floor, band, integration_time, error):
+    with pytest.raises(error):
+        itf.detectability(cfg40, floor, band, integration_time, scale)
 
 
 def test_load_config(tmp_path):

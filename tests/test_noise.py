@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qgeom import noise
 from qgeom.errors import (
     InsufficientDataError,
     InsufficientDurationError,
@@ -105,6 +106,35 @@ def test_acf_triangle_shape(series40, scale):
 def test_acf_max_lag_guard(series40):
     with pytest.raises(InsufficientDataError):
         autocorrelation(series40, max_lag=series40.duration / 2)
+
+
+# n + crossover = 2**12 + 1: at k_max = crossover the FFT must pad to 2**13,
+# and one sample less of padding would wrap lag n - 1 onto lag k_max
+ACF_N = 2 ** 12 + 1 - noise._ACF_DIRECT_LAGS
+
+
+@pytest.mark.parametrize("k_max", [
+    0, noise._ACF_DIRECT_LAGS - 2, noise._ACF_DIRECT_LAGS - 1, noise._ACF_DIRECT_LAGS,
+    ACF_N // 4])
+def test_acf_matches_correlate(k_max):
+    # both the direct-lag and the FFT path against an independent reference
+    x = np.random.default_rng(8).normal(3.0, 1.0, ACF_N)
+    series = NoiseSeries(samples=x, sample_rate=1.0, arm_length=1.0, seed=8,
+                         coherence_time=1.0)
+    lags, acf = autocorrelation(series, max_lag=float(k_max))
+    x0 = x - x.mean()
+    reference = np.correlate(x0, x0, "full")[ACF_N - 1:ACF_N + k_max] / ACF_N
+    np.testing.assert_array_equal(lags, np.arange(k_max + 1))
+    np.testing.assert_allclose(acf, reference, rtol=0.0, atol=1e-12 * reference[0])
+
+
+@pytest.mark.parametrize("max_lag", [-1e-6, math.nan, math.inf, -math.inf])
+def test_acf_max_lag_invalid(max_lag):
+    series = NoiseSeries(samples=np.random.default_rng(9).standard_normal(2500),
+                         sample_rate=2.5e7, arm_length=40.0, seed=9,
+                         coherence_time=3.2e-7)
+    with pytest.raises(InvalidInputError):
+        autocorrelation(series, max_lag=max_lag)
 
 
 def test_white_noise_psd_flat(scale):
