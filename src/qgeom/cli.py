@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: algebra, noise, spectrum, interferometer, bounds. Every run
-that writes data files also writes a JSON manifest next to the first
-output; re-running the argv reconstructed from a manifest reproduces the
-outputs bitwise (for seeded runs) since all numerics are deterministic.
+Subcommands: algebra, noise, spectrum, interferometer, bounds. Each
+command validates and computes, and returns its report and the files it
+wants written; `run` alone writes those files, then one JSON manifest
+next to the first, and only then prints the report. So a run that ends
+in an error prints no report and writes no output or manifest, unless a
+write itself fails partway (say, an unwritable second dump path).
+Re-running the argv reconstructed from a manifest reproduces the outputs
+bitwise (for seeded runs) since all numerics are deterministic.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -30,10 +34,6 @@ CSV_CHUNK_ROWS = 1 << 16
 # the most worker processes that format one CSV: the largest count
 # measured, on a 2-CPU host (see CHANGES.md)
 CSV_MAX_WORKERS = 2
-
-
-def _scale_from_args(args):
-    return derive_planck_scale(hbar=args.hbar, G=args.G, c=args.c)
 
 
 def _fmt(x) -> str:
@@ -97,22 +97,13 @@ def _write_csv(path, header: str, columns) -> None:
             fh.writelines(pool.imap(_format_worker_rows, starts))
 
 
-def _emit(args, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key} {value}")
-
-
-def write_manifest(command: str, args: argparse.Namespace,
-                   output_paths: list[str]) -> str:
+def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> str:
     """Serialize the run next to its first output; returns the manifest path."""
-    skip = {"json", "func"}
+    skip = {"json", "func", "command"}
     params = {k: v for k, v in sorted(vars(args).items())
-              if k not in skip and k != "command" and v is not None}
+              if k not in skip and v is not None}
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "seed": params.get("seed"),
         "tool_version": __version__,
@@ -140,10 +131,15 @@ def manifest_argv(manifest: dict) -> list[str]:
     return pre + [manifest["command"]] + post
 
 
-def _cmd_algebra(args) -> int:
-    scale = _scale_from_args(args)
+def _need_count(flag: str, value: int) -> int:
+    if value < 1:
+        raise QGeomError(f"need {flag} >= 1, got {value}")
+    return value
+
+
+def _cmd_algebra(args, scale):
     rep = algebra.build_representation(args.spin, scale)
-    payload = {
+    report = {
         "spin": args.spin,
         "dim": rep.dim,
         "lambda_m": _fmt(scale.lam),
@@ -152,33 +148,27 @@ def _cmd_algebra(args) -> int:
         "radial_m": _fmt(algebra.radial_observable(rep)),
     }
     if args.check:
-        payload["commutator_residual"] = _fmt(algebra.commutator_residual(rep))
-    outputs = []
-    if args.dump_matrices:
-        for name, mat in zip(("x1", "x2", "x3"), rep.components):
-            path = f"{args.dump_matrices}_{name}.csv"
-            row, col = np.indices(mat.shape).reshape(2, -1)
-            _write_csv(path, "row,col,re,im",
-                       (row, col, mat.real.ravel(), mat.imag.ravel()))
-            outputs.append(path)
-        write_manifest("algebra", args, outputs)
-    _emit(args, payload)
-    return 0
+        report["commutator_residual"] = _fmt(algebra.commutator_residual(rep))
+    if not args.dump_matrices:
+        return report, []
+    # one float index grid and views of the real and imaginary parts, so
+    # the dumps hold no copies of their columns while they wait
+    row, col = np.indices((rep.dim, rep.dim), dtype=float).reshape(2, -1)
+    return report, [(f"{args.dump_matrices}_{name}.csv", "row,col,re,im",
+                     (row, col, mat.real.reshape(-1), mat.imag.reshape(-1)))
+                    for name, mat in zip(("x1", "x2", "x3"), rep.components)]
 
 
-def _cmd_noise(args) -> int:
-    scale = _scale_from_args(args)
+def _cmd_noise(args, scale):
     series = noise.generate_timeseries(args.arm_length, args.rate,
                                        args.duration, args.seed, scale)
-    _write_csv(args.out, "t_s,x_m", (series.times(), series.samples))
-    write_manifest("noise", args, [args.out])
-    _emit(args, {
+    report = {
         "samples": len(series.samples),
         "rms_m": _fmt(float(np.sqrt(np.mean(series.samples ** 2)))),
         "coherence_time_s": _fmt(series.coherence_time),
         "out": args.out,
-    })
-    return 0
+    }
+    return report, [(args.out, "t_s,x_m", (series.times(), series.samples))]
 
 
 def _read_series_csv(path):
@@ -204,93 +194,78 @@ def _read_series_csv(path):
     return 1.0 / step, x
 
 
-def _cmd_spectrum(args) -> int:
-    scale = _scale_from_args(args)
+def _cmd_spectrum(args, scale):
     rate, samples = _read_series_csv(args.input)
     series = noise.NoiseSeries(samples=samples, sample_rate=rate,
                                arm_length=args.arm_length, seed=0,
                                coherence_time=2.0 * args.arm_length / scale.c)
     est = noise.power_spectrum(series, args.segment_length, args.overlap_fraction)
-    _write_csv(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))
-    write_manifest("spectrum", args, [args.out])
-    _emit(args, {
+    report = {
         "segments": est.segment_count,
         "df_hz": _fmt(est.frequencies[1] - est.frequencies[0]),
         "out": args.out,
-    })
-    return 0
+    }
+    return report, [(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))]
 
 
-def _cmd_interferometer(args) -> int:
-    scale = _scale_from_args(args)
+def _cmd_interferometer(args, scale):
     if args.config:
         cfg = interferometer.load_config(args.config)
     elif args.arm_length is not None:
         cfg = interferometer.InterferometerConfig(arm_length=args.arm_length)
     else:
         raise QGeomError("need --config or --arm-length")
-    payload = {
+    report = {
         "label": cfg.label,
         "arm_length_m": _fmt(cfg.arm_length),
         "rms_m": _fmt(interferometer.predict_rms(cfg, scale)),
         "knee_hz": _fmt(scale.c / (2.0 * cfg.arm_length)),
     }
-    outputs = []
-    if args.out:
-        # a non-finite end puts NaN in the grid, which the model refuses
-        with np.errstate(invalid="ignore"):
-            freqs = np.linspace(args.f_min, args.f_max, args.n_freq)
-        if args.config_b:
-            other = interferometer.load_config(args.config_b)
-            est = interferometer.cross_spectrum(cfg, other, freqs, scale)
-        else:
-            est = interferometer.predict_output_psd(cfg, freqs, scale)
-        _write_csv(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))
-        outputs.append(args.out)
     if args.floor is not None:
-        report = interferometer.detectability(
+        det = interferometer.detectability(
             cfg, args.floor, (args.band_lo, args.band_hi),
             args.integration_time, scale)
-        payload.update({
-            "snr_proxy": _fmt(report.snr_proxy),
-            "verdict": report.verdict,
+        report.update({
+            "snr_proxy": _fmt(det.snr_proxy),
+            "verdict": det.verdict,
         })
-    _emit(args, payload)
-    if outputs:
-        write_manifest("interferometer", args, outputs)
-    return 0
+    if not args.out:
+        return report, []
+    # a non-finite end puts NaN in the grid, which the model refuses
+    with np.errstate(invalid="ignore"):
+        freqs = np.linspace(args.f_min, args.f_max, _need_count("--n-freq", args.n_freq))
+    if args.config_b:
+        other = interferometer.load_config(args.config_b)
+        est = interferometer.cross_spectrum(cfg, other, freqs, scale)
+    else:
+        est = interferometer.predict_output_psd(cfg, freqs, scale)
+    return report, [(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))]
 
 
-def _cmd_bounds(args) -> int:
-    scale = _scale_from_args(args)
+def _cmd_bounds(args, scale):
     reduced = args.compton_convention == "reduced"
-    payload = {
+    report = {
         "planck_length_m": _fmt(scale.planck_length),
         "planck_mass_kg": _fmt(scale.planck_mass),
         "intersection_m": _fmt(bounds.intersection_scale(scale, reduced=reduced)),
     }
     if args.mass is not None:
-        payload["mass_kg"] = _fmt(args.mass)
-        payload["compton_m"] = _fmt(bounds.compton_size(args.mass, scale, reduced=reduced))
-        payload["schwarzschild_m"] = _fmt(bounds.schwarzschild_radius(args.mass, scale))
+        report["mass_kg"] = _fmt(args.mass)
+        report["compton_m"] = _fmt(bounds.compton_size(args.mass, scale, reduced=reduced))
+        report["schwarzschild_m"] = _fmt(bounds.schwarzschild_radius(args.mass, scale))
         if args.size is not None:
             cls = bounds.classify(args.mass, args.size, scale, reduced=reduced)
-            payload["regime"] = cls.regime
-    if args.out:
-        if not 0.0 < args.grid_min < args.grid_max < math.inf:
-            raise QGeomError("need 0 < --grid-min < --grid-max, both finite")
-        if args.grid_points < 1:
-            raise QGeomError(f"need --grid-points >= 1, got {args.grid_points}")
-        masses = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
-                             args.grid_points)
-        curves = (masses,
-                  [bounds.compton_size(m, scale, reduced=reduced) for m in masses],
-                  [bounds.schwarzschild_radius(m, scale) for m in masses])
-    _emit(args, payload)
-    if args.out:
-        _write_csv(args.out, "mass_kg,compton_m,schwarzschild_m", curves)
-        write_manifest("bounds", args, [args.out])
-    return 0
+            report["regime"] = cls.regime
+    if not args.out:
+        return report, []
+    if not 0.0 < args.grid_min < args.grid_max < math.inf:
+        raise QGeomError("need 0 < --grid-min < --grid-max, both finite")
+    masses = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
+                         _need_count("--grid-points", args.grid_points))
+    curves = (masses,
+              [bounds.compton_size(m, scale, reduced=reduced) for m in masses],
+              [bounds.schwarzschild_radius(m, scale) for m in masses])
+    return report, [(args.out, "mass_kg,compton_m,schwarzschild_m", curves)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,17 +332,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv, dispatch, and map errors to exit codes."""
+    """Run one command: compute, write its files and manifest, then report."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        scale = derive_planck_scale(hbar=args.hbar, G=args.G, c=args.c)
+        report, files = args.func(args, scale)
+        for path, header, columns in files:
+            _write_csv(path, header, columns)
+        if files:
+            write_manifest(args, [path for path, _, _ in files])
     except QGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(report, indent=2))
+    else:
+        for key, value in report.items():
+            print(f"{key} {value}")
+    return 0
 
 
 def rerun_from_manifest(path) -> int:

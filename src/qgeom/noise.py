@@ -78,11 +78,10 @@ def derive_stream_seed(master_seed: int, k: int) -> int:
 
 
 def generate_timeseries(L: float, sample_rate: float, duration: float,
-                        seed: int, scale: PlanckScale,
-                        window_time: float | None = None) -> NoiseSeries:
+                        seed: int, scale: PlanckScale) -> NoiseSeries:
     """Synthesize a jitter series with variance lam*L and coherence window.
 
-    The coherence window defaults to the light round trip 2L/c; the sample
+    The coherence window is the light round trip 2L/c; the sample
     rate must exceed 2c/L (at least 4 samples per window) and the duration
     must cover at least 10 windows. The seed is a 128-bit Philox key.
     Deterministic given all inputs.
@@ -93,7 +92,7 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     if not (math.isfinite(sample_rate) and math.isfinite(duration)):
         raise InvalidInputError(f"sample rate and duration must be finite, "
                                 f"got {sample_rate!r} and {duration!r}")
-    tau_c = 2.0 * L / scale.c if window_time is None else float(window_time)
+    tau_c = 2.0 * L / scale.c
     if sample_rate * tau_c < 4.0:
         raise UndersamplingError(
             f"sample rate {sample_rate} gives under 4 samples per coherence "
@@ -185,17 +184,16 @@ def power_spectrum(series: NoiseSeries, segment_length: int,
                             segment_length=segment_length)
 
 
-def analytic_psd(L: float, f, scale: PlanckScale,
-                 window_time: float | None = None):
+def analytic_psd(L: float, f, scale: PlanckScale):
     """One-sided model PSD of the jitter process (m^2/Hz).
 
-    2*lam*L*tau_c*sinc^2(f*tau_c) for f > 0 and lam*L*tau_c at f = 0
-    (standard one-sided convention, DC undoubled); integrates to the
-    process variance lam*L over [0, inf).
+    2*lam*L*tau_c*sinc^2(f*tau_c) for f > 0 and lam*L*tau_c at f = 0, with
+    the coherence window tau_c = 2L/c (standard one-sided convention, DC
+    undoubled); integrates to the process variance lam*L over [0, inf).
     """
     if not (L > 0.0) or not math.isfinite(L):
         raise InvalidSeparationError(f"arm length must be positive, got {L!r}")
-    tau_c = 2.0 * L / scale.c if window_time is None else float(window_time)
+    tau_c = 2.0 * L / scale.c
     f_arr = np.asarray(f, dtype=float)
     base = scale.lam * L * tau_c * np.sinc(f_arr * tau_c) ** 2
     out = np.where(f_arr > 0.0, 2.0 * base, base)

@@ -38,9 +38,11 @@ def test_algebra_check_spin_500(capsys):
 def test_algebra_dense_cap(tmp_path, monkeypatch, capsys):
     # the bands have no dense cap; only the matrix dump does
     assert run_in(tmp_path, monkeypatch, ["algebra", "--spin", "2500", "--check"]) == 0
+    capsys.readouterr()
     assert run_in(tmp_path, monkeypatch,
                   ["algebra", "--spin", "2500", "--dump-matrices", "p"]) == 1
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -77,15 +79,36 @@ def test_noise_run_and_rms(tmp_path, monkeypatch, capsys):
     assert rms == pytest.approx(1.350e-17, rel=0.05)
 
 
-def test_noise_manifest_rerun_bitwise(tmp_path, monkeypatch):
-    argv = ["noise", "--arm-length", "40", "--rate", "2.5e7",
-            "--duration", "0.005", "--seed", "13", "--out", "series.csv"]
-    assert run_in(tmp_path, monkeypatch, argv) == 0
-    first = (tmp_path / "series.csv").read_bytes()
-    manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
-    (tmp_path / "series.csv").unlink()
-    assert cli.rerun_from_manifest(tmp_path / "series.csv.manifest.json") == 0
-    assert (tmp_path / "series.csv").read_bytes() == first
+# every command that writes files; the spectrum and interferometer cases
+# read inputs that are made before the run and kept across the rerun
+RERUN_ARGV = {
+    "noise": ["noise", "--arm-length", "40", "--rate", "2.5e7",
+              "--duration", "0.005", "--seed", "13", "--out", "series.csv"],
+    "spectrum": ["spectrum", "--input", "in.csv", "--arm-length", "40",
+                 "--segment-length", "1024", "--out", "psd.csv"],
+    "algebra": ["algebra", "--spin", "2", "--check", "--dump-matrices", "rep"],
+    "interferometer": ["interferometer", "--config", "a.cfg", "--config-b", "b.cfg",
+                       "--n-freq", "11", "--out", "cross.csv"],
+    "bounds": ["bounds", "--grid-points", "20", "--out", "curves.csv"],
+}
+
+
+@pytest.mark.parametrize("command", RERUN_ARGV)
+def test_noise_manifest_rerun_bitwise(command, tmp_path, monkeypatch):
+    (tmp_path / "a.cfg").write_text("label = a\narm_length_m = 40\nposition_m = 0,0,0\n")
+    (tmp_path / "b.cfg").write_text("label = b\narm_length_m = 40\nposition_m = 40,0,0\n")
+    series = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale())
+    cli._write_csv(tmp_path / "in.csv", "t_s,x_m", (series.times(), series.samples))
+    inputs = {p.name for p in tmp_path.iterdir()}
+    assert run_in(tmp_path, monkeypatch, RERUN_ARGV[command]) == 0
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in inputs}
+    manifest = next(name for name in written if name.endswith(".manifest.json"))
+    outputs = json.loads(written[manifest])["output_paths"]
+    assert sorted(written) == sorted(outputs + [manifest])
+    for name in outputs:
+        (tmp_path / name).unlink()
+    assert cli.rerun_from_manifest(tmp_path / manifest) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
 def test_env_seed_default(tmp_path, monkeypatch):
@@ -217,6 +240,10 @@ BAD_INPUTS = {
     ["interferometer", "--arm-length", "40", "--floor", "1e-41", "--band-hi", "inf"],
     ["interferometer", "--arm-length", "40", "--floor", "1e-41",
      "--integration-time", "inf"],
+    ["interferometer", "--arm-length", "40", "--n-freq", "-1", "--out", "a.csv"],
+    ["interferometer", "--arm-length", "40", "--out", "p.csv", "--floor", "-1"],
+    ["interferometer", "--arm-length", "40", "--out", "p.csv", "--floor", "1e-41",
+     "--band-lo", "9e6", "--band-hi", "1e6"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
