@@ -90,6 +90,11 @@ def commutator_residual(rep: AlgebraRep) -> float:
 
     On the bands, [x1, x2] = i lam x3 reads diag [J+, J-] = 2 m, and the
     other two pairs read (m_k - m_{k+1} - 1) ladder_k = 0.
+
+    The squared ladder j(j+1) - m(m+1) is rounded at the scale of j^2, so
+    the residual grows as C j eps (eps the float64 machine epsilon): C <= 1
+    measured on 350 spins up to 10^6, with 8.3e-14 at j = 10^3, 1.1e-12 at
+    10^4 and 8.4e-11 at 10^6. It stays below 1e-12 only up to j ~ 9000.
     """
     if rep.dim == 1:
         return 0.0

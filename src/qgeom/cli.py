@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -65,8 +64,11 @@ def _csv_workers(chunks: int) -> int:
     # which may not have children; the children call no BLAS, so the BLAS
     # library's own threads do not matter
     if (chunks < 2 or not sys.platform.startswith("linux")
-            or threading.active_count() > 1
-            or multiprocessing.current_process().daemon):
+            or threading.active_count() > 1):
+        return 1
+    # imported here so that a one-chunk file, and start-up, skip it
+    import multiprocessing
+    if multiprocessing.current_process().daemon:
         return 1
     return min(len(os.sched_getaffinity(0)), CSV_MAX_WORKERS, chunks)
 
@@ -90,6 +92,7 @@ def _write_csv(path, header: str, columns) -> None:
         if workers == 1:
             fh.writelines(_format_rows(columns, start) for start in starts)
             return
+        import multiprocessing
         # forked workers inherit the columns instead of receiving them
         # pickled, and never re-run the caller's __main__
         ctx = multiprocessing.get_context("fork")
@@ -149,8 +152,10 @@ def _cmd_algebra(args, scale):
     }
     if args.check:
         report["commutator_residual"] = _fmt(algebra.commutator_residual(rep))
-    if not args.dump_matrices:
+    if args.dump_matrices is None:
         return report, []
+    if not args.dump_matrices:
+        raise InvalidInputError("--dump-matrices: empty prefix")
     # one float index grid and views of the real and imaginary parts, so
     # the dumps hold no copies of their columns while they wait
     row, col = np.indices((rep.dim, rep.dim), dtype=float).reshape(2, -1)
@@ -229,7 +234,7 @@ def _cmd_interferometer(args, scale):
             "snr_proxy": _fmt(det.snr_proxy),
             "verdict": det.verdict,
         })
-    if not args.out:
+    if args.out is None:
         return report, []
     # a non-finite end puts NaN in the grid, which the model refuses
     with np.errstate(invalid="ignore"):
@@ -256,7 +261,7 @@ def _cmd_bounds(args, scale):
         if args.size is not None:
             cls = bounds.classify(args.mass, args.size, scale, reduced=reduced)
             report["regime"] = cls.regime
-    if not args.out:
+    if args.out is None:
         return report, []
     if not 0.0 < args.grid_min < args.grid_max < math.inf:
         raise QGeomError("need 0 < --grid-min < --grid-max, both finite")

@@ -74,6 +74,14 @@ def test_commutator_residual_small(spin, scale):
     assert commutator_residual(build_representation(spin, scale)) < 1e-12
 
 
+@pytest.mark.parametrize("spin", [1.0, 3.0, 16.5, 1e3, 1e4 + 0.5, 1e5, (BAND_CAP - 1) / 2])
+def test_commutator_residual_grows_as_j_eps(spin, scale):
+    # rounding of the squared ladder at the scale of j^2; C = 1 is the
+    # largest ratio measured (at j = 1), about 0.4 at j = 10^3 ... 10^6
+    eps = np.finfo(float).eps
+    assert commutator_residual(build_representation(spin, scale)) <= 1.0 * spin * eps
+
+
 def test_commutator_residual_detects_breakage(scale):
     rep = build_representation(1, scale)
     broken = AlgebraRep(spin=rep.spin, dim=rep.dim, lam=rep.lam, m=rep.m,

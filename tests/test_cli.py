@@ -244,6 +244,9 @@ BAD_INPUTS = {
     ["interferometer", "--arm-length", "40", "--out", "p.csv", "--floor", "-1"],
     ["interferometer", "--arm-length", "40", "--out", "p.csv", "--floor", "1e-41",
      "--band-lo", "9e6", "--band-hi", "1e6"],
+    ["bounds", "--out", ""],
+    ["interferometer", "--arm-length", "40", "--out", ""],
+    ["algebra", "--spin", "1", "--dump-matrices", ""],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -290,14 +293,22 @@ def test_unguarded_script_writes_long_csv(tmp_path):
 
 
 def test_import_loads_no_scipy():
+    # neither the import nor the band-power quadrature loads scipy
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, qgeom.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, qgeom.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(loaded())\n"
+            "assert qgeom.cli.run(['interferometer', '--arm-length', '40',\n"
+            "                      '--floor', '1e-41']) == 0\n"
+            "print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "[]"
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "verdict detect" in lines
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_python_m_entry_point():

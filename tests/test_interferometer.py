@@ -3,12 +3,38 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import sici
 
 from qgeom import interferometer as itf
 from qgeom.algebra import transverse_variance_formula
 from qgeom.errors import InvalidBandError, InvalidGridError, InvalidInputError
 from qgeom.noise import analytic_psd
+
+
+# integral of sinc^2(x) over [f_lo tau, f_hi tau] for L = 40 m, from the
+# same float ends: mpmath at 60 digits, Si(2 pi x) / pi - sin^2(pi x) / (pi^2 x)
+# (past 1e100 Hz the upper end is 1/2 to within 1e-290); the narrow bands
+# agree with mpmath.quad to 1e-47
+SINC2_MPMATH = {
+    (0.0, 5e6): "4.579148776079879905904315412065890511179e-1",
+    (1e8, 1e10): "1.869134057685585312538473284676398622567e-3",
+    (1e9, 1e12): "1.895647994884466331544210821296195043236e-4",
+    (1e11, 1e11 + 1e3): "5.794338568438614697830460783044095036181e-15",
+    (1e9, 1e9 + 1e3): "7.690128214702915126154300476218668609014e-11",
+    (3.7e6, 3.7e6 + 1.0): "4.378138440095191678971711911845810140402e-11",
+    (0.0, 1e3): "2.668512553200883619054769131573258044432e-4",
+    (1e3, 1e20): "4.997331487446780131801762977125522290554e-1",
+    (1e6, 1e300): "2.528565295535227664941201784425901735132e-1",
+}
+
+
+WIDE_BANDS = [(1e8, 1e10), (1e9, 1e12)]
+
+
+def snr_oracle(scale, band):
+    # the snr_proxy of detectability(cfg40, 1e-41, band, 3600.0, scale)
+    width = band[1] - band[0]
+    power = 2 * scale.lam * 40.0 * float(SINC2_MPMATH[band])
+    return power / (1e-41 * width) * math.sqrt(3600.0 * width)
 
 
 @pytest.fixture
@@ -123,18 +149,18 @@ def test_detectability_regression(scale, cfg40):
     assert report.verdict == "detect"
 
 
-@pytest.mark.parametrize("band", [(1e8, 1e10), (1e9, 1e12)])
+@pytest.mark.parametrize("band", WIDE_BANDS)
 def test_detectability_wide_band(band, scale, cfg40):
-    # oracle: the antiderivative of sinc^2(x) is Si(2 pi x)/pi - sin^2(pi x)/(pi^2 x)
-    tau = 2 * 40.0 / scale.c
-    x_lo, x_hi = band[0] * tau, band[1] * tau
-    integral = ((sici(2 * math.pi * x_hi)[0] - sici(2 * math.pi * x_lo)[0]) / math.pi
-                - math.sin(math.pi * x_hi) ** 2 / (math.pi ** 2 * x_hi)
-                + math.sin(math.pi * x_lo) ** 2 / (math.pi ** 2 * x_lo))
-    width = band[1] - band[0]
-    oracle = 2 * scale.lam * 40.0 * integral / (1e-41 * width) * math.sqrt(3600.0 * width)
     report = itf.detectability(cfg40, 1e-41, band, 3600.0, scale)
-    assert report.snr_proxy == pytest.approx(oracle, rel=1e-9)
+    assert report.snr_proxy == pytest.approx(snr_oracle(scale, band), rel=1e-10)
+
+
+@pytest.mark.parametrize("band", [b for b in SINC2_MPMATH if b not in WIDE_BANDS])
+def test_band_power_mpmath(band, scale, cfg40):
+    # from DC, narrow and far from DC (where two Si antiderivatives
+    # cancel), and wider than any quadrature could cover period by period
+    report = itf.detectability(cfg40, 1e-41, band, 3600.0, scale)
+    assert report.snr_proxy == pytest.approx(snr_oracle(scale, band), rel=1e-10)
 
 
 def test_detectability_monotone_in_floor(scale, cfg40):
@@ -149,6 +175,8 @@ def test_detectability_invalid_band(scale, cfg40):
         itf.detectability(cfg40, 1e-40, (5e6, 1e6), 100.0, scale)
     with pytest.raises(InvalidBandError):
         itf.detectability(cfg40, 1e-40, (2e6, 2e6), 100.0, scale)
+    with pytest.raises(InvalidBandError):  # f_hi * 2L/c overflows
+        itf.detectability(itf.InterferometerConfig(1e10), 1e-40, (1e6, 1e308), 100.0, scale)
 
 
 @pytest.mark.parametrize("floor, band, integration_time, error", [
