@@ -20,6 +20,7 @@ from .errors import (
     InvalidSeparationError,
     InvalidSpinError,
     ShapeError,
+    positive,
 )
 
 # Dense view: three complex dim x dim matrices, 256 MB each at the cap.
@@ -56,7 +57,6 @@ class StateVector:
     """Normalized amplitudes in a representation's J3 eigenbasis."""
 
     amplitudes: np.ndarray
-    rep_spin: float
 
 
 def _check_spin(spin: float) -> float:
@@ -141,7 +141,7 @@ def highest_weight_state(rep: AlgebraRep, axis=(0.0, 0.0, 1.0)) -> StateVector:
                + np.multiply(n - k, log_cos, out=np.zeros(rep.dim), where=k < n)
                + np.multiply(k, log_sin, out=np.zeros(rep.dim), where=k > 0))
     vec = np.exp(log_amp - log_amp.max()) * np.exp(-1j * phi * rep.m)
-    return StateVector(amplitudes=vec / np.linalg.norm(vec), rep_spin=rep.spin)
+    return StateVector(amplitudes=vec / np.linalg.norm(vec))
 
 
 def _apply(rep: AlgebraRep, e: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -174,22 +174,19 @@ def transverse_variance_operator(rep: AlgebraRep, state: StateVector,
 
 def angular_variance_formula(L: float, scale: PlanckScale) -> float:
     """Directional variance lam / L (dimensionless) for separation L."""
-    if not (L > 0.0) or not math.isfinite(L):
-        raise InvalidSeparationError(f"separation must be positive, got {L!r}")
+    positive("separation", L, InvalidSeparationError)
     return scale.lam / L
 
 
 def transverse_variance_formula(L: float, scale: PlanckScale) -> float:
     """Transverse position variance lam * L (m^2) for separation L."""
-    if not (L > 0.0) or not math.isfinite(L):
-        raise InvalidSeparationError(f"separation must be positive, got {L!r}")
+    positive("separation", L, InvalidSeparationError)
     return scale.lam * L
 
 
 def state_count_continuum(R: float, scale: PlanckScale) -> float:
     """Continuum degree-of-freedom count 4 pi (R / planck_length)^2."""
-    if not (R > 0.0) or not math.isfinite(R):
-        raise InvalidSeparationError(f"radius must be positive, got {R!r}")
+    positive("radius", R, InvalidSeparationError)
     return 4.0 * math.pi * (R / scale.planck_length) ** 2
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import PlanckScale
-from .errors import InvalidInputError, InvalidMassError
+from .errors import InvalidInputError, InvalidMassError, positive
 
 FORBIDDEN_QUANTUM = "forbidden_quantum"
 FORBIDDEN_BLACKHOLE = "forbidden_blackhole"
@@ -23,8 +23,6 @@ CLASSICAL_MATTER_SIDE = "classical_matter_side"
 @dataclass(frozen=True)
 class RegimeClassification:
     regime: str
-    compton: float
-    schwarzschild: float
 
 
 def compton_size(mass: float, scale: PlanckScale, reduced: bool = True) -> float:
@@ -32,16 +30,14 @@ def compton_size(mass: float, scale: PlanckScale, reduced: bool = True) -> float
 
     Reduced form hbar/(m c) by default; reduced=False gives h/(m c).
     """
-    if not (mass > 0.0) or not math.isfinite(mass):
-        raise InvalidMassError(f"mass must be positive, got {mass!r}")
+    positive("mass", mass, InvalidMassError)
     size = scale.hbar / (mass * scale.c)
     return size if reduced else 2.0 * math.pi * size
 
 
 def schwarzschild_radius(mass: float, scale: PlanckScale) -> float:
     """Black-hole radius 2 G m / c^2 (m)."""
-    if not (mass > 0.0) or not math.isfinite(mass):
-        raise InvalidMassError(f"mass must be positive, got {mass!r}")
+    positive("mass", mass, InvalidMassError)
     return 2.0 * scale.G * mass / scale.c ** 2
 
 
@@ -59,8 +55,7 @@ def intersection_scale(scale: PlanckScale, reduced: bool = True) -> float:
 def classify(mass: float, size: float, scale: PlanckScale,
              reduced: bool = True) -> RegimeClassification:
     """Assign a (mass, size) pair to exactly one of the four regimes."""
-    if not (size > 0.0) or not math.isfinite(size):
-        raise InvalidInputError(f"size must be positive, got {size!r}")
+    positive("size", size, InvalidInputError)
     lc = compton_size(mass, scale, reduced=reduced)
     rs = schwarzschild_radius(mass, scale)
     if size < lc and lc >= rs:
@@ -71,4 +66,4 @@ def classify(mass: float, size: float, scale: PlanckScale,
         regime = FIELD_THEORY_SIDE
     else:
         regime = CLASSICAL_MATTER_SIDE
-    return RegimeClassification(regime=regime, compton=lc, schwarzschild=rs)
+    return RegimeClassification(regime=regime)

@@ -170,7 +170,7 @@ def _cmd_noise(args, scale):
     report = {
         "samples": len(series.samples),
         "rms_m": _fmt(float(np.sqrt(np.mean(series.samples ** 2)))),
-        "coherence_time_s": _fmt(series.coherence_time),
+        "coherence_time_s": _fmt(noise.coherence_time(args.arm_length, scale)),
         "out": args.out,
     }
     return report, [(args.out, "t_s,x_m", (series.times(), series.samples))]
@@ -200,10 +200,10 @@ def _read_series_csv(path):
 
 
 def _cmd_spectrum(args, scale):
+    # the estimate does not read the arm length, but it is checked all the same
+    noise.coherence_time(args.arm_length, scale)
     rate, samples = _read_series_csv(args.input)
-    series = noise.NoiseSeries(samples=samples, sample_rate=rate,
-                               arm_length=args.arm_length, seed=0,
-                               coherence_time=2.0 * args.arm_length / scale.c)
+    series = noise.NoiseSeries(samples=samples, sample_rate=rate)
     est = noise.power_spectrum(series, args.segment_length, args.overlap_fraction)
     report = {
         "segments": est.segment_count,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConstantError
+from .errors import InvalidConstantError, positive
 
 # CODATA 2018 recommended values
 HBAR_CODATA = 1.054571817e-34  # J s (exact by SI redefinition, truncated)
@@ -52,9 +52,7 @@ def derive_planck_scale(hbar: float = HBAR_CODATA,
         If any input is non-positive or non-finite.
     """
     for name, value in (("hbar", hbar), ("G", G), ("c", c)):
-        if not math.isfinite(value) or value <= 0.0:
-            raise InvalidConstantError(
-                f"{name} must be strictly positive and finite, got {value!r}")
+        positive(name, value, InvalidConstantError)
     planck_length = math.sqrt(hbar * G / c ** 3)
     return PlanckScale(
         hbar=hbar,

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one argument rule."""
+
+import math
 
 
 class QGeomError(ValueError):
@@ -55,3 +57,9 @@ class InvalidMassError(QGeomError):
 
 class InvalidInputError(QGeomError):
     """Generic invalid numeric input."""
+
+
+def positive(name: str, value: float, error: type[QGeomError]) -> None:
+    """Raise error unless value is positive and finite (NaN is neither)."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value!r}")

@@ -1,9 +1,12 @@
-"""Holographic-noise time series: synthesis, autocorrelation, spectra.
+"""The holographic jitter model and its time series: synthesis, autocorrelation, spectra.
 
-The jitter process is a boxcar moving average of unit-variance white noise
-with window tau_c = 2L/c (light round trip), rescaled so the process
-variance is exactly lam*L. Its autocorrelation is the triangle
-lam*L*max(0, 1 - |tau|/tau_c).
+The model: variance lam*L, coherence window tau_c = 2L/c (the light round
+trip, :func:`coherence_time`), autocorrelation lam*L*max(0, 1 - |tau|/tau_c),
+one-sided PSD :func:`analytic_psd` and its band integral :func:`band_power`.
+A series is a boxcar moving average of unit-variance white noise over
+round(rate * tau_c) whole samples, rescaled to variance lam*L, so its window
+is round(rate * tau_c) / rate: 7 samples for the modelled 6.67 at L = 40 m
+and 2.5e7 Hz, up to 12.5% off at 4 samples per window (ROADMAP.md item 2).
 
 RNG is Philox (4x64, counter-based) via numpy; identical inputs give
 bitwise-identical output on any platform. Ensemble stream k is derived
@@ -12,6 +15,7 @@ from (master_seed, k) with :func:`derive_stream_seed`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,10 +26,12 @@ from .constants import PlanckScale
 from .errors import (
     InsufficientDataError,
     InsufficientDurationError,
+    InvalidBandError,
     InvalidInputError,
     InvalidSeparationError,
     SegmentationError,
     UndersamplingError,
+    positive,
 )
 
 
@@ -35,9 +41,6 @@ class NoiseSeries:
 
     samples: np.ndarray
     sample_rate: float
-    arm_length: float
-    seed: int
-    coherence_time: float
 
     @property
     def duration(self) -> float:
@@ -54,7 +57,6 @@ class SpectrumEstimate:
     frequencies: np.ndarray
     psd: np.ndarray
     segment_count: int
-    segment_length: int
 
 
 # Welch segments per FFT batch: bounds the batch's working memory to a few MB
@@ -64,6 +66,12 @@ _WELCH_BLOCK = 256
 # of an FFT; on a 2-vCPU Xeon the two costs cross between 350 and 750 lags
 # for 1e5-2.5e6 samples
 _ACF_DIRECT_LAGS = 512
+
+# periods integrated by quadrature at each end of a wide band, at most
+# 2 * 64 * 24 nodes in all; past them x >= 64, where the k-th series term
+# is at most (2k)! / (128 pi)^(2k) of the leading 1 / x
+_EDGE_PIECES = 64
+_SERIES_TERMS = 12
 
 
 def _check_seed(name: str, value: int, bits: int) -> int:
@@ -77,22 +85,27 @@ def derive_stream_seed(master_seed: int, k: int) -> int:
     return _check_seed("master_seed", master_seed, 64) << 64 | _check_seed("k", k, 64)
 
 
+def coherence_time(L: float, scale: PlanckScale) -> float:
+    """Coherence window 2L/c (s) of a positive, finite arm length L (m)."""
+    positive("arm length", L, InvalidSeparationError)
+    return 2.0 * L / scale.c
+
+
 def generate_timeseries(L: float, sample_rate: float, duration: float,
                         seed: int, scale: PlanckScale) -> NoiseSeries:
     """Synthesize a jitter series with variance lam*L and coherence window.
 
-    The coherence window is the light round trip 2L/c; the sample
-    rate must exceed 2c/L (at least 4 samples per window) and the duration
-    must cover at least 10 windows. The seed is a 128-bit Philox key.
-    Deterministic given all inputs.
+    The coherence window is the light round trip 2L/c, realized as
+    round(rate * 2L/c) / rate since the series averages whole samples (see
+    the module docstring). The sample rate must exceed 2c/L (at least 4
+    samples per window) and the duration must cover at least 10 windows.
+    The seed is a 128-bit Philox key. Deterministic given all inputs.
     """
     seed = _check_seed("seed", seed, 128)
-    if not (L > 0.0) or not math.isfinite(L):
-        raise InvalidSeparationError(f"arm length must be positive, got {L!r}")
+    tau_c = coherence_time(L, scale)
     if not (math.isfinite(sample_rate) and math.isfinite(duration)):
         raise InvalidInputError(f"sample rate and duration must be finite, "
                                 f"got {sample_rate!r} and {duration!r}")
-    tau_c = 2.0 * L / scale.c
     if sample_rate * tau_c < 4.0:
         raise UndersamplingError(
             f"sample rate {sample_rate} gives under 4 samples per coherence "
@@ -110,9 +123,7 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     # the process is exactly stationary with variance lam*L
     kernel = np.full(m, math.sqrt(scale.lam * L / m))
     samples = np.convolve(white, kernel, mode="valid")
-    return NoiseSeries(samples=samples, sample_rate=float(sample_rate),
-                       arm_length=float(L), seed=seed,
-                       coherence_time=tau_c)
+    return NoiseSeries(samples=samples, sample_rate=float(sample_rate))
 
 
 def autocorrelation(series: NoiseSeries, max_lag: float):
@@ -179,9 +190,7 @@ def power_spectrum(series: NoiseSeries, segment_length: int,
     psd = power / (len(segments) * series.sample_rate * np.sum(window ** 2))
     psd[1:-1] *= 2.0
     freqs = np.fft.rfftfreq(segment_length, 1.0 / series.sample_rate)
-    return SpectrumEstimate(frequencies=freqs, psd=psd,
-                            segment_count=len(segments),
-                            segment_length=segment_length)
+    return SpectrumEstimate(frequencies=freqs, psd=psd, segment_count=len(segments))
 
 
 def analytic_psd(L: float, f, scale: PlanckScale):
@@ -191,17 +200,81 @@ def analytic_psd(L: float, f, scale: PlanckScale):
     the coherence window tau_c = 2L/c (standard one-sided convention, DC
     undoubled); integrates to the process variance lam*L over [0, inf).
     """
-    if not (L > 0.0) or not math.isfinite(L):
-        raise InvalidSeparationError(f"arm length must be positive, got {L!r}")
-    tau_c = 2.0 * L / scale.c
+    tau_c = coherence_time(L, scale)
     f_arr = np.asarray(f, dtype=float)
     base = scale.lam * L * tau_c * np.sinc(f_arr * tau_c) ** 2
     out = np.where(f_arr > 0.0, 2.0 * base, base)
     return float(out) if np.isscalar(f) or f_arr.ndim == 0 else out
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre on [0, 1], built on first use so that importing noise
+    # loads no numpy.polynomial; 24 nodes reach rounding on every sinc^2
+    # piece (its nearest pole in piece k is at x = -k; sin^2 is entire)
+    t, w = np.polynomial.legendre.leggauss(24)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _sinc2_periods(n1: int, n2: int) -> float:
+    """Integral of sinc^2 over whole periods [n1, n2], n1 >= _EDGE_PIECES.
+
+    sinc^2(x) = (1 - cos 2 pi x) / (2 pi^2 x^2). Integrating the cosine
+    term by parts, sin(2 pi n) = 0 and cos(2 pi n) = 1 at integer ends,
+    so its k-th term is (-1)^(k-1) (2k)! / (2 pi)^(2k) [x^-(2k+1)] exactly.
+    """
+    omega2 = (2.0 * math.pi) ** 2
+    cos_term, coef = 0.0, 1.0
+    for k in range(1, _SERIES_TERMS + 1):
+        coef *= -(2 * k - 1) * (2 * k) / omega2
+        cos_term -= coef * (float(n1) ** -(2 * k + 1) - float(n2) ** -(2 * k + 1))
+    # the exact integers keep 1/n1 - 1/n2 free of cancellation
+    return ((n2 - n1) / (n1 * n2) - cos_term) / (2.0 * math.pi ** 2)
+
+
+def band_power(L: float, f_lo: float, f_hi: float, scale: PlanckScale) -> float:
+    """Integral of :func:`analytic_psd` over [f_lo, f_hi] (m^2), 0 <= f_lo < f_hi < inf.
+
+    In x = f * tau_c the PSD is 2 lam L sinc^2(x) dx, integrated by
+    Gauss-Legendre on each piece between the zeros of sinc at the integers;
+    a band of more than 2 * _EDGE_PIECES periods takes the whole periods in
+    between in closed form, so the cost is bounded.
+    """
+    if not 0.0 <= f_lo < f_hi < math.inf:
+        raise InvalidBandError(
+            f"band must satisfy 0 <= f_lo < f_hi < inf, got {(f_lo, f_hi)!r}")
+    tau_c = coherence_time(L, scale)
+    a, b = f_lo * tau_c, f_hi * tau_c
+    if not math.isfinite(b):
+        raise InvalidBandError(f"band end {f_hi!r} Hz times 2L/c overflows")
+    # exact integers: float offsets from them would round beyond 2**53
+    k_lo, k_hi = math.floor(a), math.floor(b)
+    if k_hi - k_lo < 2 * _EDGE_PIECES:
+        k = k_lo + np.arange(k_hi - k_lo + 1.0)
+        middle = 0.0
+    else:
+        n1, n2 = k_lo + _EDGE_PIECES, k_hi - _EDGE_PIECES + 1
+        edge = np.arange(float(_EDGE_PIECES))
+        k = np.r_[k_lo + edge, n2 + edge]
+        middle = _sinc2_periods(n1, n2)
+    # piece k spans x = k + t, t in [t0, t1]; taking the phase from t alone
+    # keeps it exact however large k is
+    t0, t1 = np.zeros(len(k)), np.ones(len(k))
+    t0[0], t1[-1] = a - k_lo, b - k_hi
+    width = t1 - t0
+    if k_lo == k_hi and b - a < 2.0 ** -27 * b:
+        # rounded ends this close give the width to worse than 3e-8 (not at
+        # all below the spacing of x); the frequencies give it to rounding
+        width[0] = (f_hi - f_lo) * tau_c
+    gl_t, gl_w = _gauss_legendre()
+    t = t0[:, None] + width[:, None] * gl_t
+    x = k[:, None] + t
+    # sin(pi t) / (pi x); at x = 0 (a band end that underflows) it is 1
+    ratio = np.sinc(t) * np.divide(t, x, out=np.ones_like(t), where=x > 0)
+    return 2.0 * scale.lam * L * (float(width @ (ratio ** 2 @ gl_w)) + middle)
+
+
 def drift_velocity_scale(L: float, scale: PlanckScale) -> float:
     """RMS displacement over the one-way coherence time: c*sqrt(lam/L) (m/s)."""
-    if not (L > 0.0) or not math.isfinite(L):
-        raise InvalidSeparationError(f"arm length must be positive, got {L!r}")
+    positive("arm length", L, InvalidSeparationError)
     return scale.c * math.sqrt(scale.lam / L)

@@ -211,7 +211,10 @@ BAD_INPUTS = {
     "dup.csv": "t_s,x_m\n0.0,1e-17\n0.0,2e-17\n4e-08,3e-17\n",
     "nan.csv": "t_s,x_m\n0.0,1e-17\n4e-08,nan\n8e-08,3e-17\n",
     "gap.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17\n1.2e-07,3e-17\n",
+    "ok.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17\n8e-08,3e-17\n",
     "forty.cfg": "label = a\narm_length_m = forty\n",
+    "nan.cfg": "label = b\narm_length_m = 40\nposition_m = nan,0,0\n",
+    "inf.cfg": "label = b\narm_length_m = 40\nposition_m = inf,0,0\n",
 }
 
 
@@ -247,6 +250,12 @@ BAD_INPUTS = {
     ["bounds", "--out", ""],
     ["interferometer", "--arm-length", "40", "--out", ""],
     ["algebra", "--spin", "1", "--dump-matrices", ""],
+    ["interferometer", "--arm-length", "40", "--config-b", "nan.cfg", "--out", "x.csv"],
+    ["interferometer", "--arm-length", "40", "--config-b", "inf.cfg", "--out", "x.csv"],
+    ["spectrum", "--input", "ok.csv", "--arm-length", "-5", "--segment-length", "2",
+     "--out", "p.csv"],
+    ["spectrum", "--input", "ok.csv", "--arm-length", "nan", "--segment-length", "2",
+     "--out", "p.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():

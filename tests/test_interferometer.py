@@ -7,13 +7,14 @@ from hypothesis import given, strategies as st
 from qgeom import interferometer as itf
 from qgeom.algebra import transverse_variance_formula
 from qgeom.errors import InvalidBandError, InvalidGridError, InvalidInputError
-from qgeom.noise import analytic_psd
+from qgeom.noise import analytic_psd, band_power
 
 
 # integral of sinc^2(x) over [f_lo tau, f_hi tau] for L = 40 m, from the
 # same float ends: mpmath at 60 digits, Si(2 pi x) / pi - sin^2(pi x) / (pi^2 x)
 # (past 1e100 Hz the upper end is 1/2 to within 1e-290); the narrow bands
-# agree with mpmath.quad to 1e-47
+# agree with mpmath.quad to 1e-47. The NARROW_BANDS are at most one float
+# spacing of x wide, so their ends are the exact products f tau, not floats
 SINC2_MPMATH = {
     (0.0, 5e6): "4.579148776079879905904315412065890511179e-1",
     (1e8, 1e10): "1.869134057685585312538473284676398622567e-3",
@@ -24,10 +25,18 @@ SINC2_MPMATH = {
     (0.0, 1e3): "2.668512553200883619054769131573258044432e-4",
     (1e3, 1e20): "4.997331487446780131801762977125522290554e-1",
     (1e6, 1e300): "2.528565295535227664941201784425901735132e-1",
+    (1e11, 100000000000.00002): "8.823997603819062227842043657628982411989e-23",
+    (130567005798.4, 130567005798.40001): "2.600231148442451036571425174956724099997e-24",
 }
 
 
 WIDE_BANDS = [(1e8, 1e10), (1e9, 1e12)]
+# one float of f apart: the x ends are one float apart, then the same float
+NARROW_BANDS = [(1e11, 100000000000.00002), (130567005798.4, 130567005798.40001)]
+
+
+def trapezoid(y, x):
+    return np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2
 
 
 def snr_oracle(scale, band):
@@ -79,7 +88,7 @@ def test_output_psd_integral(scale, cfg40):
     tau = 2 * 40.0 / scale.c
     f = np.linspace(0, 8 / tau, 400_001)
     est = itf.predict_output_psd(cfg40, f, scale)
-    integral = np.trapezoid(est.psd, f)
+    integral = trapezoid(est.psd, f)
     assert integral == pytest.approx(scale.lam * 40.0, rel=0.02)
 
 
@@ -142,7 +151,7 @@ def test_detectability_regression(scale, cfg40):
     floor = 2 * scale.lam * 40.0 * (2 * 40.0 / scale.c)  # peak value
     report = itf.detectability(cfg40, floor, (1e6, 5e6), 3600.0, scale)
     f = np.linspace(1e6, 5e6, 400_001)
-    power = np.trapezoid(analytic_psd(40.0, f, scale), f)
+    power = trapezoid(analytic_psd(40.0, f, scale), f)
     oracle = power / (floor * 4e6) * math.sqrt(3600.0 * 4e6)
     assert report.snr_proxy == pytest.approx(oracle, rel=1e-6)
     assert report.snr_proxy == pytest.approx(23695.379, rel=1e-6)
@@ -161,6 +170,13 @@ def test_band_power_mpmath(band, scale, cfg40):
     # cancel), and wider than any quadrature could cover period by period
     report = itf.detectability(cfg40, 1e-41, band, 3600.0, scale)
     assert report.snr_proxy == pytest.approx(snr_oracle(scale, band), rel=1e-10)
+
+
+@pytest.mark.parametrize("band", NARROW_BANDS)
+def test_band_power_below_x_spacing(band, scale):
+    # the width comes from the frequencies, since the rounded x ends lose it
+    want = 2 * scale.lam * 40.0 * float(SINC2_MPMATH[band])
+    assert band_power(40.0, *band, scale) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_detectability_monotone_in_floor(scale, cfg40):

@@ -9,6 +9,7 @@ from qgeom.errors import (
     InsufficientDataError,
     InsufficientDurationError,
     InvalidInputError,
+    InvalidSeparationError,
     SegmentationError,
     UndersamplingError,
 )
@@ -16,6 +17,8 @@ from qgeom.noise import (
     NoiseSeries,
     analytic_psd,
     autocorrelation,
+    band_power,
+    coherence_time,
     derive_stream_seed,
     drift_velocity_scale,
     generate_timeseries,
@@ -89,13 +92,13 @@ def test_variance_ensemble_convergence(scale):
     assert abs(mean - target) < 3 * sem
 
 
-def test_acf_lag_zero_is_variance(series40):
-    _, acf = autocorrelation(series40, max_lag=series40.coherence_time)
+def test_acf_lag_zero_is_variance(series40, scale):
+    _, acf = autocorrelation(series40, max_lag=coherence_time(L40, scale))
     assert acf[0] == pytest.approx(np.var(series40.samples), rel=1e-12)
 
 
 def test_acf_triangle_shape(series40, scale):
-    lags, acf = autocorrelation(series40, max_lag=2 * series40.coherence_time)
+    lags, acf = autocorrelation(series40, max_lag=2 * coherence_time(L40, scale))
     c0 = acf[0]
     half = int(round(series40.sample_rate * L40 / scale.c))
     full = 2 * half
@@ -119,8 +122,7 @@ ACF_N = 2 ** 12 + 1 - noise._ACF_DIRECT_LAGS
 def test_acf_matches_correlate(k_max):
     # both the direct-lag and the FFT path against an independent reference
     x = np.random.default_rng(8).normal(3.0, 1.0, ACF_N)
-    series = NoiseSeries(samples=x, sample_rate=1.0, arm_length=1.0, seed=8,
-                         coherence_time=1.0)
+    series = NoiseSeries(samples=x, sample_rate=1.0)
     lags, acf = autocorrelation(series, max_lag=float(k_max))
     x0 = x - x.mean()
     reference = np.correlate(x0, x0, "full")[ACF_N - 1:ACF_N + k_max] / ACF_N
@@ -131,8 +133,7 @@ def test_acf_matches_correlate(k_max):
 @pytest.mark.parametrize("max_lag", [-1e-6, math.nan, math.inf, -math.inf])
 def test_acf_max_lag_invalid(max_lag):
     series = NoiseSeries(samples=np.random.default_rng(9).standard_normal(2500),
-                         sample_rate=2.5e7, arm_length=40.0, seed=9,
-                         coherence_time=3.2e-7)
+                         sample_rate=2.5e7)
     with pytest.raises(InvalidInputError):
         autocorrelation(series, max_lag=max_lag)
 
@@ -142,8 +143,7 @@ def test_white_noise_psd_flat(scale):
     sigma2 = 4.0
     fs = 1000.0
     series = NoiseSeries(samples=math.sqrt(sigma2) * rng.standard_normal(2 ** 16),
-                         sample_rate=fs, arm_length=1.0, seed=5,
-                         coherence_time=1e-3)
+                         sample_rate=fs)
     est = power_spectrum(series, segment_length=1024)
     # one-sided white PSD is 2 sigma^2 / fs
     band = est.frequencies > 0
@@ -207,8 +207,16 @@ def test_analytic_psd_integral(scale):
     # Parseval: the one-sided PSD integrates to the process variance lam*L
     tau = 2 * L40 / scale.c
     f = np.linspace(0, 400 / tau, 4_000_001)
-    integral = np.trapezoid(analytic_psd(L40, f, scale), f)
+    psd = analytic_psd(L40, f, scale)
+    integral = np.sum((psd[1:] + psd[:-1]) * np.diff(f)) / 2  # trapezoid rule
     assert integral == pytest.approx(scale.lam * L40, rel=1e-3)
+
+
+def test_band_power_total_is_variance(scale):
+    # the closed-form tail makes the whole spectrum cheap; its power is lam*L
+    assert band_power(L40, 0.0, 1e300, scale) == pytest.approx(scale.lam * L40, rel=1e-14)
+    with pytest.raises(InvalidSeparationError):
+        band_power(-L40, 1e6, 2e6, scale)
 
 
 def test_welch_matches_analytic(scale):
