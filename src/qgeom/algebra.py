@@ -52,28 +52,17 @@ class AlgebraRep:
                 self.lam * np.diag(self.m).astype(complex))
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitudes in a representation's J3 eigenbasis."""
-
-    amplitudes: np.ndarray
-
-
-def _check_spin(spin: float) -> float:
-    twice = 2.0 * spin
-    if spin < 0 or not math.isfinite(twice) or round(twice) != twice:
-        raise InvalidSpinError(
-            f"spin must be a non-negative multiple of 1/2, got {spin!r}")
-    return float(spin)
-
-
 def build_representation(spin: float, scale: PlanckScale) -> AlgebraRep:
     """Build x_i = lam * J_i via the ladder-operator construction.
 
     Basis ordering is descending J3 eigenvalue: m = j, j-1, ..., -j.
     """
-    j = _check_spin(spin)
-    dim = int(round(2 * j)) + 1
+    twice = 2.0 * spin
+    if spin < 0 or not math.isfinite(twice) or round(twice) != twice:
+        raise InvalidSpinError(
+            f"spin must be a non-negative multiple of 1/2, got {spin!r}")
+    j = float(spin)
+    dim = int(round(twice)) + 1
     if dim > BAND_CAP:
         raise CapacityError(f"dimension {dim} exceeds cap {BAND_CAP} (spin {spin})")
     m = j - np.arange(dim)
@@ -105,12 +94,6 @@ def commutator_residual(rep: AlgebraRep) -> float:
     return float(max(r3, r12))
 
 
-def radial_length(spin: float, scale: PlanckScale) -> float:
-    """Closed-form radial observable lam * sqrt(j(j+1)); no matrices, no cap."""
-    j = _check_spin(spin)
-    return scale.lam * math.sqrt(j * (j + 1.0))
-
-
 def radial_observable(rep: AlgebraRep) -> float:
     """Radial observable <L> = lam * sqrt(j(j+1)); the Casimir is a scalar."""
     return rep.lam * math.sqrt(rep.spin * (rep.spin + 1.0))
@@ -124,8 +107,10 @@ def _polar(axis) -> tuple[float, float]:
     return math.atan2(math.hypot(a[0], a[1]), a[2]), math.atan2(a[1], a[0])
 
 
-def highest_weight_state(rep: AlgebraRep, axis=(0.0, 0.0, 1.0)) -> StateVector:
+def highest_weight_state(rep: AlgebraRep, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     """Eigenvector of (axis . x) with maximal eigenvalue, which is +j lam.
+
+    Returns its normalized complex amplitudes in the J3 eigenbasis of rep.
 
     The spin coherent state (Arecchi, Courtens, Gilmore & Thomas 1972): at
     k = j - m, sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k exp(-i m phi).
@@ -141,7 +126,7 @@ def highest_weight_state(rep: AlgebraRep, axis=(0.0, 0.0, 1.0)) -> StateVector:
                + np.multiply(n - k, log_cos, out=np.zeros(rep.dim), where=k < n)
                + np.multiply(k, log_sin, out=np.zeros(rep.dim), where=k > 0))
     vec = np.exp(log_amp - log_amp.max()) * np.exp(-1j * phi * rep.m)
-    return StateVector(amplitudes=vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 def _apply(rep: AlgebraRep, e: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -153,7 +138,7 @@ def _apply(rep: AlgebraRep, e: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def transverse_variance_operator(rep: AlgebraRep, state: StateVector,
+def transverse_variance_operator(rep: AlgebraRep, state: np.ndarray,
                                  axis=(0.0, 0.0, 1.0)) -> float:
     """Expectation <psi| x_perp^2 |psi> about the given axis, in m^2.
 
@@ -161,7 +146,7 @@ def transverse_variance_operator(rep: AlgebraRep, state: StateVector,
     axis; for the highest-weight state this equals lam^2 j exactly.
     """
     theta, phi = _polar(axis)
-    psi = np.asarray(state.amplitudes, dtype=complex)
+    psi = np.asarray(state, dtype=complex)
     if psi.shape != (rep.dim,):
         raise ShapeError(
             f"state dimension {psi.shape} does not match rep dim {rep.dim}")

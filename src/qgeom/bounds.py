@@ -9,7 +9,6 @@ two lines meet at sqrt(2) * planck_length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import PlanckScale
 from .errors import InvalidInputError, InvalidMassError, positive
@@ -18,11 +17,6 @@ FORBIDDEN_QUANTUM = "forbidden_quantum"
 FORBIDDEN_BLACKHOLE = "forbidden_blackhole"
 FIELD_THEORY_SIDE = "field_theory_side"
 CLASSICAL_MATTER_SIDE = "classical_matter_side"
-
-
-@dataclass(frozen=True)
-class RegimeClassification:
-    regime: str
 
 
 def compton_size(mass: float, scale: PlanckScale, reduced: bool = True) -> float:
@@ -53,17 +47,15 @@ def intersection_scale(scale: PlanckScale, reduced: bool = True) -> float:
 
 
 def classify(mass: float, size: float, scale: PlanckScale,
-             reduced: bool = True) -> RegimeClassification:
-    """Assign a (mass, size) pair to exactly one of the four regimes."""
+             reduced: bool = True) -> str:
+    """The one of the four regime constants that a (mass, size) pair lies in."""
     positive("size", size, InvalidInputError)
     lc = compton_size(mass, scale, reduced=reduced)
     rs = schwarzschild_radius(mass, scale)
     if size < lc and lc >= rs:
-        regime = FORBIDDEN_QUANTUM
-    elif size < rs and rs > lc:
-        regime = FORBIDDEN_BLACKHOLE
-    elif mass < scale.planck_mass:
-        regime = FIELD_THEORY_SIDE
-    else:
-        regime = CLASSICAL_MATTER_SIDE
-    return RegimeClassification(regime=regime)
+        return FORBIDDEN_QUANTUM
+    if size < rs and rs > lc:
+        return FORBIDDEN_BLACKHOLE
+    if mass < scale.planck_mass:
+        return FIELD_THEORY_SIDE
+    return CLASSICAL_MATTER_SIDE

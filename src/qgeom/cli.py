@@ -9,12 +9,16 @@ write itself fails partway (say, an unwritable second dump path).
 Re-running the argv reconstructed from a manifest reproduces the outputs
 bitwise (for seeded runs) since all numerics are deterministic.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error. An output file
+that cannot be opened, written or closed (a missing directory, a full
+disk) and an array too large for memory also end with exit 1 and an
+`error:` line, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -73,6 +77,17 @@ def _csv_workers(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), CSV_MAX_WORKERS, chunks)
 
 
+@contextlib.contextmanager
+def _open_output(path):
+    """Open path for writing; an OSError from open, write or close becomes
+    an InvalidInputError naming the path."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length 1-D columns as CSV rows of repr(float) values.
 
@@ -83,11 +98,7 @@ def _write_csv(path, header: str, columns) -> None:
     columns = [np.asarray(c, dtype=float) for c in columns]
     starts = range(0, len(columns[0]), CSV_CHUNK_ROWS)
     workers = _csv_workers(len(starts))
-    try:
-        fh = open(path, "w")
-    except OSError as exc:
-        raise InvalidInputError(f"{path}: cannot write: {exc.strerror or exc}") from None
-    with fh:
+    with _open_output(path) as fh:
         fh.write(header + "\n")
         if workers == 1:
             fh.writelines(_format_rows(columns, start) for start in starts)
@@ -113,7 +124,7 @@ def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> str:
         "output_paths": output_paths,
     }
     path = str(output_paths[0]) + ".manifest.json"
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return path
@@ -214,7 +225,9 @@ def _cmd_spectrum(args, scale):
 
 
 def _cmd_interferometer(args, scale):
-    if args.config:
+    if args.config_b is not None and args.out is None:
+        raise QGeomError("--config-b needs --out")
+    if args.config is not None:
         cfg = interferometer.load_config(args.config)
     elif args.arm_length is not None:
         cfg = interferometer.InterferometerConfig(arm_length=args.arm_length)
@@ -239,15 +252,17 @@ def _cmd_interferometer(args, scale):
     # a non-finite end puts NaN in the grid, which the model refuses
     with np.errstate(invalid="ignore"):
         freqs = np.linspace(args.f_min, args.f_max, _need_count("--n-freq", args.n_freq))
-    if args.config_b:
+    if args.config_b is not None:
         other = interferometer.load_config(args.config_b)
-        est = interferometer.cross_spectrum(cfg, other, freqs, scale)
+        psd = interferometer.cross_spectrum(cfg, other, freqs, scale)
     else:
-        est = interferometer.predict_output_psd(cfg, freqs, scale)
-    return report, [(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))]
+        psd = interferometer.predict_output_psd(cfg, freqs, scale)
+    return report, [(args.out, "f_hz,psd_m2_per_hz", (freqs, psd))]
 
 
 def _cmd_bounds(args, scale):
+    if args.size is not None and args.mass is None:
+        raise QGeomError("--size needs --mass")
     reduced = args.compton_convention == "reduced"
     report = {
         "planck_length_m": _fmt(scale.planck_length),
@@ -259,8 +274,8 @@ def _cmd_bounds(args, scale):
         report["compton_m"] = _fmt(bounds.compton_size(args.mass, scale, reduced=reduced))
         report["schwarzschild_m"] = _fmt(bounds.schwarzschild_radius(args.mass, scale))
         if args.size is not None:
-            cls = bounds.classify(args.mass, args.size, scale, reduced=reduced)
-            report["regime"] = cls.regime
+            report["regime"] = bounds.classify(args.mass, args.size, scale,
+                                               reduced=reduced)
     if args.out is None:
         return report, []
     if not 0.0 < args.grid_min < args.grid_max < math.inf:
@@ -350,8 +365,8 @@ def run(argv: list[str]) -> int:
             _write_csv(path, header, columns)
         if files:
             write_manifest(args, [path for path, _, _ in files])
-    except QGeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (QGeomError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(report, indent=2))

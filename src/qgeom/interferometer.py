@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import PlanckScale
 from .errors import InvalidGridError, InvalidInputError, positive
-from .noise import SpectrumEstimate, analytic_psd, band_power
+from .noise import analytic_psd, band_power
 
 SNR_DETECT = 5.0
 SNR_MARGINAL = 1.0
@@ -86,11 +86,10 @@ def _check_grid(frequencies) -> np.ndarray:
 
 
 def predict_output_psd(config: InterferometerConfig, frequencies,
-                       scale: PlanckScale) -> SpectrumEstimate:
-    """Model output PSD on the given grid; knee at c / (2 arm_length)."""
+                       scale: PlanckScale) -> np.ndarray:
+    """Model output PSD (m^2/Hz) on the given grid; knee at c / (2 arm_length)."""
     f = _check_grid(frequencies)
-    psd = analytic_psd(config.arm_length, f, scale)
-    return SpectrumEstimate(frequencies=f, psd=np.asarray(psd), segment_count=0)
+    return analytic_psd(config.arm_length, f, scale)
 
 
 def overlap_factor(a: InterferometerConfig, b: InterferometerConfig) -> float:
@@ -100,13 +99,12 @@ def overlap_factor(a: InterferometerConfig, b: InterferometerConfig) -> float:
 
 
 def cross_spectrum(a: InterferometerConfig, b: InterferometerConfig,
-                   frequencies, scale: PlanckScale) -> SpectrumEstimate:
-    """Cross-PSD gamma(d) * sqrt(S_a * S_b); equals the auto-PSD at d = 0."""
+                   frequencies, scale: PlanckScale) -> np.ndarray:
+    """Cross-PSD gamma(d) * sqrt(S_a * S_b) (m^2/Hz); the auto-PSD at d = 0."""
     f = _check_grid(frequencies)
-    sa = np.asarray(analytic_psd(a.arm_length, f, scale))
-    sb = np.asarray(analytic_psd(b.arm_length, f, scale))
-    psd = overlap_factor(a, b) * np.sqrt(sa * sb)
-    return SpectrumEstimate(frequencies=f, psd=psd, segment_count=0)
+    sa = analytic_psd(a.arm_length, f, scale)
+    sb = analytic_psd(b.arm_length, f, scale)
+    return overlap_factor(a, b) * np.sqrt(sa * sb)
 
 
 def detectability(config: InterferometerConfig, floor: float,

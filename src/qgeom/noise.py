@@ -52,7 +52,7 @@ class NoiseSeries:
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """One-sided power spectral density on a uniform frequency grid."""
+    """Welch estimate of a one-sided PSD on a uniform frequency grid."""
 
     frequencies: np.ndarray
     psd: np.ndarray
@@ -262,9 +262,9 @@ def band_power(L: float, f_lo: float, f_hi: float, scale: PlanckScale) -> float:
     t0, t1 = np.zeros(len(k)), np.ones(len(k))
     t0[0], t1[-1] = a - k_lo, b - k_hi
     width = t1 - t0
-    if k_lo == k_hi and b - a < 2.0 ** -27 * b:
-        # rounded ends this close give the width to worse than 3e-8 (not at
-        # all below the spacing of x); the frequencies give it to rounding
+    if k_lo == k_hi:
+        # the rounded ends lose up to ulp(x) of the width (all of it below
+        # the spacing of x); the frequencies give it to rounding
         width[0] = (f_hi - f_lo) * tau_c
     gl_t, gl_w = _gauss_legendre()
     t = t0[:, None] + width[:, None] * gl_t

@@ -56,8 +56,9 @@ def test_criterion_4_operator_formula_convergence():
         ratio = (algebra.transverse_variance_operator(rep, state)
                  / (SCALE.lam * algebra.radial_observable(rep)))
         ok &= 1 - 1 / (2 * j) <= ratio <= 1 + 1e-12
-    j = 1000.0  # closed-form path
-    ratio = SCALE.lam ** 2 * j / (SCALE.lam * algebra.radial_length(j, SCALE))
+    j = 1000.0
+    radial = algebra.radial_observable(algebra.build_representation(j, SCALE))
+    ratio = SCALE.lam ** 2 * j / (SCALE.lam * radial)
     ok &= 1 - 1 / (2 * j) <= ratio <= 1 + 1e-12
     _report(4, "operator/formula convergence", ok)
 
@@ -133,8 +134,8 @@ def test_criterion_8_scale_claims():
 def test_criterion_9_bounds_diagram():
     ratio = bounds.intersection_scale(SCALE) / SCALE.planck_length
     ok = 1.0 <= ratio <= 2.0
-    ok &= bounds.classify(9.109e-31, 1e-10, SCALE).regime == "field_theory_side"
-    ok &= bounds.classify(1.0, 1.0, SCALE).regime == "classical_matter_side"
+    ok &= bounds.classify(9.109e-31, 1e-10, SCALE) == "field_theory_side"
+    ok &= bounds.classify(1.0, 1.0, SCALE) == "classical_matter_side"
     masses = np.logspace(-20, 10, 1000)
     diff = np.array([bounds.compton_size(m, SCALE)
                      - bounds.schwarzschild_radius(m, SCALE) for m in masses])

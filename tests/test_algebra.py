@@ -11,7 +11,6 @@ from qgeom.algebra import (
     build_representation,
     commutator_residual,
     highest_weight_state,
-    radial_length,
     radial_observable,
     state_count_continuum,
     state_count_discrete,
@@ -120,16 +119,16 @@ def test_radial_observable(scale):
     assert radial_observable(build_representation(0, scale)) == 0.0
 
 
-def test_radial_length_formula_path(scale):
+def test_radial_observable_large_spin(scale):
     j = 1.0e6
-    assert radial_length(j, scale) == pytest.approx(
+    assert radial_observable(build_representation(j, scale)) == pytest.approx(
         scale.lam * math.sqrt(j * (j + 1)), rel=1e-14)
 
 
 def test_highest_weight_along_z(scale):
     rep = build_representation(0.5, scale)
     state = highest_weight_state(rep, (0, 0, 1))
-    amps = state.amplitudes * np.exp(-1j * np.angle(state.amplitudes[0]))
+    amps = state * np.exp(-1j * np.angle(state[0]))
     np.testing.assert_allclose(amps, [1.0, 0.0], atol=1e-12)
 
 
@@ -140,7 +139,7 @@ def test_highest_weight_eigenvalue(axis, scale):
     state = highest_weight_state(rep, axis)
     proj = (axis[0] * rep.components[0] + axis[1] * rep.components[1]
             + axis[2] * rep.components[2])
-    val = np.real(state.amplitudes.conj() @ (proj @ state.amplitudes))
+    val = np.real(state.conj() @ (proj @ state))
     assert val == pytest.approx(scale.lam, rel=1e-10)
 
 
@@ -152,7 +151,7 @@ def test_highest_weight_matches_dense_eigh(spin, scale):
         proj = sum(a * x for a, x in zip(axis, rep.components))
         top = np.linalg.eigh(proj)[1][:, -1]
         state = highest_weight_state(rep, axis)
-        assert 1 - abs(np.vdot(top, state.amplitudes)) < 1e-12
+        assert 1 - abs(np.vdot(top, state)) < 1e-12
 
 
 def test_transverse_variance_operator(scale):

@@ -256,6 +256,18 @@ BAD_INPUTS = {
      "--out", "p.csv"],
     ["spectrum", "--input", "ok.csv", "--arm-length", "nan", "--segment-length", "2",
      "--out", "p.csv"],
+    ["bounds", "--size", "1"],
+    ["interferometer", "--arm-length", "40", "--config-b", "nan.cfg"],
+    pytest.param(["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.001",
+                  "--out", "/dev/full"],
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="needs /dev/full")),
+    # arrays of 178 and 711 PiB, beyond any address space
+    ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1e9",
+     "--out", "big.csv"],
+    ["interferometer", "--arm-length", "40", "--n-freq", "100000000000000000",
+     "--out", "f.csv"],
+    ["interferometer", "--arm-length", "40", "--config-b", "", "--out", "x.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -265,6 +277,17 @@ def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert out == ""  # a refused run prints no report
     assert err.startswith("error:") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_INPUTS)
+
+
+def test_unwritable_manifest_exit_1(tmp_path, monkeypatch, capsys):
+    # the CSV is written before its manifest, so it stays: the one partial write
+    (tmp_path / "d" / "x.csv.manifest.json").mkdir(parents=True)
+    argv = ["bounds", "--grid-points", "20", "--out", "d/x.csv"]
+    assert run_in(tmp_path, monkeypatch, argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: d/x.csv.manifest.json: cannot write")
+    assert (tmp_path / "d" / "x.csv").stat().st_size > 0
 
 
 def test_series_csv_with_time_offset(tmp_path, monkeypatch):
@@ -366,10 +389,8 @@ def csv_kinds():
          zip(series.times(), series.samples)),
         ("spectrum", "f_hz,psd_m2_per_hz", (spec.frequencies, spec.psd),
          zip(spec.frequencies, spec.psd)),
-        ("model", "f_hz,psd_m2_per_hz", (model.frequencies, model.psd),
-         zip(model.frequencies, model.psd)),
-        ("cross", "f_hz,psd_m2_per_hz", (cross.frequencies, cross.psd),
-         zip(cross.frequencies, cross.psd)),
+        ("model", "f_hz,psd_m2_per_hz", (freqs, model), zip(freqs, model)),
+        ("cross", "f_hz,psd_m2_per_hz", (freqs, cross), zip(freqs, cross)),
         ("bounds", "mass_kg,compton_m,schwarzschild_m", (masses, compton, schwarzschild),
          ((m, bounds.compton_size(m, scale), bounds.schwarzschild_radius(m, scale))
           for m in masses)),

@@ -10,18 +10,20 @@ from qgeom.errors import InvalidBandError, InvalidGridError, InvalidInputError
 from qgeom.noise import analytic_psd, band_power
 
 
-# integral of sinc^2(x) over [f_lo tau, f_hi tau] for L = 40 m, from the
-# same float ends: mpmath at 60 digits, Si(2 pi x) / pi - sin^2(pi x) / (pi^2 x)
-# (past 1e100 Hz the upper end is 1/2 to within 1e-290); the narrow bands
-# agree with mpmath.quad to 1e-47. The NARROW_BANDS are at most one float
-# spacing of x wide, so their ends are the exact products f tau, not floats
+# integral of sinc^2(x) over [f_lo tau, f_hi tau] for L = 40 m: mpmath at
+# 60 digits, Si(2 pi x) / pi - sin^2(pi x) / (pi^2 x) (past 1e100 Hz the
+# upper end is 1/2 to within 1e-290); the narrow bands agree with
+# mpmath.quad to 1e-47. Bands inside one sinc^2 piece (x-width under 1)
+# take the width from the frequencies, so their ends are the exact
+# products f tau of the floats f and tau; for (0, 1e3) Hz these differ
+# from the rounded ends by 8e-18. The wider bands use the float ends
 SINC2_MPMATH = {
     (0.0, 5e6): "4.579148776079879905904315412065890511179e-1",
     (1e8, 1e10): "1.869134057685585312538473284676398622567e-3",
     (1e9, 1e12): "1.895647994884466331544210821296195043236e-4",
-    (1e11, 1e11 + 1e3): "5.794338568438614697830460783044095036181e-15",
-    (1e9, 1e9 + 1e3): "7.690128214702915126154300476218668609014e-11",
-    (3.7e6, 3.7e6 + 1.0): "4.378138440095191678971711911845810140402e-11",
+    (1e11, 1e11 + 1e3): "5.794338588601938463532519579474185607659e-15",
+    (1e9, 1e9 + 1e3): "7.690128213670942626754434853326638672709e-11",
+    (3.7e6, 3.7e6 + 1.0): "4.378138439624706435601078169781027175770e-11",
     (0.0, 1e3): "2.668512553200883619054769131573258044432e-4",
     (1e3, 1e20): "4.997331487446780131801762977125522290554e-1",
     (1e6, 1e300): "2.528565295535227664941201784425901735132e-1",
@@ -73,22 +75,22 @@ def test_output_psd_knee(scale, cfg40):
     knee = scale.c / (2 * cfg40.arm_length)
     assert knee == pytest.approx(3.75e6, rel=2e-3)
     f = np.linspace(0, 2e7, 5001)
-    est = itf.predict_output_psd(cfg40, f, scale)
-    np.testing.assert_allclose(est.psd, analytic_psd(40.0, f, scale))
+    psd = itf.predict_output_psd(cfg40, f, scale)
+    np.testing.assert_allclose(psd, analytic_psd(40.0, f, scale))
 
 
 def test_output_psd_zeros(scale, cfg40):
     tau = 2 * 40.0 / scale.c
     f = np.array([1 / tau, 2 / tau, 3 / tau])
-    est = itf.predict_output_psd(cfg40, f, scale)
-    np.testing.assert_allclose(est.psd, 0.0, atol=1e-60)
+    psd = itf.predict_output_psd(cfg40, f, scale)
+    np.testing.assert_allclose(psd, 0.0, atol=1e-60)
 
 
 def test_output_psd_integral(scale, cfg40):
     tau = 2 * 40.0 / scale.c
     f = np.linspace(0, 8 / tau, 400_001)
-    est = itf.predict_output_psd(cfg40, f, scale)
-    integral = trapezoid(est.psd, f)
+    psd = itf.predict_output_psd(cfg40, f, scale)
+    integral = trapezoid(psd, f)
     assert integral == pytest.approx(scale.lam * 40.0, rel=0.02)
 
 
@@ -109,24 +111,24 @@ def test_cross_spectrum_colocated(scale, cfg40):
     other = itf.InterferometerConfig(40.0, label="twin")
     cross = itf.cross_spectrum(cfg40, other, f, scale)
     auto = itf.predict_output_psd(cfg40, f, scale)
-    np.testing.assert_allclose(cross.psd, auto.psd)
+    np.testing.assert_allclose(cross, auto)
 
 
 def test_cross_spectrum_separated(scale, cfg40):
     f = np.linspace(0, 1e7, 101)
     far = itf.InterferometerConfig(40.0, position=(80.0, 0, 0))
-    assert np.all(itf.cross_spectrum(cfg40, far, f, scale).psd == 0.0)
+    assert np.all(itf.cross_spectrum(cfg40, far, f, scale) == 0.0)
     mid = itf.InterferometerConfig(40.0, position=(40.0, 0, 0))
     cross = itf.cross_spectrum(cfg40, mid, f, scale)
     np.testing.assert_allclose(
-        cross.psd, 0.5 * itf.predict_output_psd(cfg40, f, scale).psd)
+        cross, 0.5 * itf.predict_output_psd(cfg40, f, scale))
 
 
 def test_cross_spectrum_symmetry(scale, cfg40):
     f = np.linspace(0, 1e7, 101)
     b = itf.InterferometerConfig(25.0, position=(10.0, -5.0, 2.0))
-    np.testing.assert_array_equal(itf.cross_spectrum(cfg40, b, f, scale).psd,
-                                  itf.cross_spectrum(b, cfg40, f, scale).psd)
+    np.testing.assert_array_equal(itf.cross_spectrum(cfg40, b, f, scale),
+                                  itf.cross_spectrum(b, cfg40, f, scale))
 
 
 @given(st.floats(min_value=0, max_value=200), st.floats(min_value=0, max_value=200))
@@ -169,7 +171,7 @@ def test_band_power_mpmath(band, scale, cfg40):
     # from DC, narrow and far from DC (where two Si antiderivatives
     # cancel), and wider than any quadrature could cover period by period
     report = itf.detectability(cfg40, 1e-41, band, 3600.0, scale)
-    assert report.snr_proxy == pytest.approx(snr_oracle(scale, band), rel=1e-10)
+    assert report.snr_proxy == pytest.approx(snr_oracle(scale, band), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("band", NARROW_BANDS)
