@@ -3,12 +3,16 @@
 The quantum line is realized as the reduced-Compton size hbar/(m c)
 (convention flag ``reduced``; the 2*pi form is available), the black-hole
 line as the Schwarzschild radius 2 G m / c^2. With these conventions the
-two lines meet at sqrt(2) * planck_length.
+two lines meet at sqrt(2) * planck_length. Both lines are elementwise:
+a mass may be a number or a numpy array, and an array of masses gives the
+array of their sizes, bitwise equal to the sizes of each mass alone.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .constants import PlanckScale
 from .errors import InvalidInputError, InvalidMassError, positive
@@ -19,17 +23,20 @@ FIELD_THEORY_SIDE = "field_theory_side"
 CLASSICAL_MATTER_SIDE = "classical_matter_side"
 
 
-def compton_size(mass: float, scale: PlanckScale, reduced: bool = True) -> float:
+def compton_size(mass, scale: PlanckScale, reduced: bool = True):
     """Minimum size of a single quantum of the given mass-energy (m).
 
     Reduced form hbar/(m c) by default; reduced=False gives h/(m c).
+    Where m c overflows (m above about 6e299 kg) the size is 0.0, the
+    correctly rounded underflow of hbar/(m c).
     """
     positive("mass", mass, InvalidMassError)
-    size = scale.hbar / (mass * scale.c)
+    with np.errstate(over="ignore"):
+        size = scale.hbar / (mass * scale.c)
     return size if reduced else 2.0 * math.pi * size
 
 
-def schwarzschild_radius(mass: float, scale: PlanckScale) -> float:
+def schwarzschild_radius(mass, scale: PlanckScale):
     """Black-hole radius 2 G m / c^2 (m)."""
     positive("mass", mass, InvalidMassError)
     return 2.0 * scale.G * mass / scale.c ** 2

@@ -237,7 +237,7 @@ def _cmd_interferometer(args, scale):
         "label": cfg.label,
         "arm_length_m": _fmt(cfg.arm_length),
         "rms_m": _fmt(interferometer.predict_rms(cfg, scale)),
-        "knee_hz": _fmt(scale.c / (2.0 * cfg.arm_length)),
+        "knee_hz": _fmt(1.0 / noise.coherence_time(cfg.arm_length, scale)),
     }
     if args.floor is not None:
         det = interferometer.detectability(
@@ -280,11 +280,12 @@ def _cmd_bounds(args, scale):
         return report, []
     if not 0.0 < args.grid_min < args.grid_max < math.inf:
         raise QGeomError("need 0 < --grid-min < --grid-max, both finite")
-    masses = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
-                         _need_count("--grid-points", args.grid_points))
-    curves = (masses,
-              [bounds.compton_size(m, scale, reduced=reduced) for m in masses],
-              [bounds.schwarzschild_radius(m, scale) for m in masses])
+    # an end near the float maximum can round up to inf, which the lines refuse
+    with np.errstate(over="ignore"):
+        masses = np.logspace(math.log10(args.grid_min), math.log10(args.grid_max),
+                             _need_count("--grid-points", args.grid_points))
+    curves = (masses, bounds.compton_size(masses, scale, reduced=reduced),
+              bounds.schwarzschild_radius(masses, scale))
     return report, [(args.out, "mass_kg,compton_m,schwarzschild_m", curves)]
 
 
@@ -311,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arm-length", type=float, required=True, help="L in m")
     p.add_argument("--rate", type=float, required=True, help="sample rate Hz")
     p.add_argument("--duration", type=float, required=True, help="seconds")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("QGEOM_SEED", "0")))
+    # argparse converts a string default only when --seed is absent, so a
+    # bad QGEOM_SEED is a usage error of noise alone
+    p.add_argument("--seed", type=int, default=os.environ.get("QGEOM_SEED", "0"))
     p.add_argument("--out", required=True, help="series CSV path")
     p.set_defaults(func=_cmd_noise)
 

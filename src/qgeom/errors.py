@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class QGeomError(ValueError):
     """Base class for all domain errors raised by this package."""
@@ -59,7 +61,13 @@ class InvalidInputError(QGeomError):
     """Generic invalid numeric input."""
 
 
-def positive(name: str, value: float, error: type[QGeomError]) -> None:
-    """Raise error unless value is positive and finite (NaN is neither)."""
+def positive(name: str, value, error: type[QGeomError]) -> None:
+    """Raise error unless value, a number or an array, is positive and finite
+    (NaN is neither); an array is reported by its first entry that is not."""
+    if np.ndim(value):
+        bad = np.extract(~((0.0 < value) & (value < math.inf)), value)
+        if not bad.size:
+            return
+        value = bad[0].item()
     if not 0.0 < value < math.inf:
         raise error(f"{name} must be positive and finite, got {value!r}")

@@ -86,9 +86,19 @@ def derive_stream_seed(master_seed: int, k: int) -> int:
 
 
 def coherence_time(L: float, scale: PlanckScale) -> float:
-    """Coherence window 2L/c (s) of a positive, finite arm length L (m)."""
+    """Coherence window 2L/c (s) of an arm length L (m).
+
+    L must be finite and at least the Planck length, and 2L/c must not
+    overflow: with the CODATA constants, from 1.6e-35 m to about 9e307 m.
+    """
     positive("arm length", L, InvalidSeparationError)
-    return 2.0 * L / scale.c
+    if L < scale.planck_length:
+        raise InvalidSeparationError(
+            f"arm length {L!r} m is below the Planck length {scale.planck_length!r} m")
+    tau_c = 2.0 * L / scale.c
+    if tau_c == math.inf:
+        raise InvalidSeparationError(f"arm length {L!r} m overflows 2L/c")
+    return tau_c
 
 
 def generate_timeseries(L: float, sample_rate: float, duration: float,

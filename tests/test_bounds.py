@@ -101,6 +101,33 @@ def test_classify_metamorphic():
 
 def test_unique_crossing(scale):
     masses = np.logspace(-20, 10, 1000)
-    diff = np.array([bounds.compton_size(m, scale)
-                     - bounds.schwarzschild_radius(m, scale) for m in masses])
+    diff = bounds.compton_size(masses, scale) - bounds.schwarzschild_radius(masses, scale)
     assert np.count_nonzero(np.diff(np.sign(diff))) == 1
+
+
+GRID = np.logspace(-30, 40, 1000)
+LINES = {
+    "compton_reduced": bounds.compton_size,
+    "compton_full": lambda mass, scale: bounds.compton_size(mass, scale, reduced=False),
+    "schwarzschild": bounds.schwarzschild_radius,
+}
+
+
+@pytest.mark.parametrize("line", LINES.values(), ids=LINES)
+def test_lines_elementwise_bitwise(line, scale):
+    # one call on the whole grid gives the bits of one call per mass
+    per_mass = np.array([line(float(m), scale) for m in GRID])
+    assert line(GRID, scale).tobytes() == per_mass.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("line", LINES.values(), ids=LINES)
+def test_lines_refuse_bad_entry(line, bad, scale):
+    # an array with one bad mass fails with that mass's own message
+    with pytest.raises(InvalidMassError) as alone:
+        line(bad, scale)
+    masses = GRID.copy()
+    masses[17] = bad
+    with pytest.raises(InvalidMassError) as in_array:
+        line(masses, scale)
+    assert str(in_array.value) == str(alone.value)

@@ -111,13 +111,23 @@ def test_noise_manifest_rerun_bitwise(command, tmp_path, monkeypatch):
     assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
-def test_env_seed_default(tmp_path, monkeypatch):
+def test_env_seed_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QGEOM_SEED", "99")
     argv = ["noise", "--arm-length", "40", "--rate", "2.5e7",
             "--duration", "0.005", "--out", "series.csv"]
     assert run_in(tmp_path, monkeypatch, argv) == 0
     manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
     assert manifest["seed"] == 99
+    # a non-integer value is a usage error of noise alone, and only
+    # where --seed is absent
+    monkeypatch.setenv("QGEOM_SEED", "abc")
+    capsys.readouterr()
+    assert cli.run(["algebra", "--spin", "1"]) == 0
+    assert cli.run(argv + ["--seed", "5"]) == 0
+    capsys.readouterr()
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "--seed: invalid int value: 'abc'" in err and "Traceback" not in err
 
 
 def test_spectrum_pipeline(tmp_path, monkeypatch):
@@ -185,6 +195,43 @@ def test_bounds_grid(tmp_path, monkeypatch):
     assert data.shape == (50, 3)
     # compton falls, schwarzschild rises
     assert np.all(np.diff(data[:, 1]) < 0) and np.all(np.diff(data[:, 2]) > 0)
+
+
+def _counted(line, sizes):
+    def wrapper(mass, *args, **kwargs):
+        sizes.append(np.size(mass))
+        return line(mass, *args, **kwargs)
+    return wrapper
+
+
+def test_bounds_grid_one_call_per_line(tmp_path, monkeypatch):
+    calls = {"compton_size": [], "schwarzschild_radius": []}
+    for name, sizes in calls.items():
+        monkeypatch.setattr(bounds, name, _counted(getattr(bounds, name), sizes))
+    assert run_in(tmp_path, monkeypatch, ["bounds", "--grid-points", "5000",
+                                          "--out", "c.csv"]) == 0
+    assert calls["compton_size"] == [5000]
+    # the other call is intersection_scale's, at the crossing mass
+    assert calls["schwarzschild_radius"] == [1, 5000]
+
+
+@pytest.mark.filterwarnings("error")
+def test_bounds_grid_at_float_limits(tmp_path, monkeypatch, capsys):
+    # a grid end that rounds up to inf is refused by a plain message
+    assert run_in(tmp_path, monkeypatch, [
+        "bounds", "--grid-min", "1", "--grid-max", "1.7976931348623157e308",
+        "--out", "g.csv"]) == 1
+    assert capsys.readouterr().err == "error: mass must be positive and finite, got inf\n"
+    # ħ/(mc) and 2Gm/c² underflow to 0.0 at the ends, with no overflow warning
+    assert cli.run(["bounds", "--grid-min", "1e-320", "--grid-max", "1e308",
+                    "--out", "c.csv"]) == 0
+    masses = np.logspace(math.log10(1e-320), 308.0, 1000)
+    scale = codata_scale()
+    per_mass = [[m, bounds.compton_size(m, scale), bounds.schwarzschild_radius(m, scale)]
+                for m in masses.tolist()]
+    rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+    assert rows == [",".join(map(repr, row)) for row in per_mass]
+    assert rows[0].endswith(",0.0") and ",0.0," in rows[-1]
 
 
 def test_bounds_classify(capsys):
@@ -268,6 +315,12 @@ BAD_INPUTS = {
     ["interferometer", "--arm-length", "40", "--n-freq", "100000000000000000",
      "--out", "f.csv"],
     ["interferometer", "--arm-length", "40", "--config-b", "", "--out", "x.csv"],
+    # 2L/c overflows, and an arm length below the Planck length
+    ["interferometer", "--arm-length", "1e308", "--out", "x.csv"],
+    ["interferometer", "--arm-length", "1e308"],
+    ["interferometer", "--arm-length", "1e-310", "--floor", "1e-41"],
+    # the last grid mass rounds up to inf
+    ["bounds", "--grid-min", "1", "--grid-max", "1.7976931348623157e308", "--out", "g.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -275,7 +328,7 @@ def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert run_in(tmp_path, monkeypatch, argv) == 1
     out, err = capsys.readouterr()
     assert out == ""  # a refused run prints no report
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_INPUTS)
 
 

@@ -72,6 +72,22 @@ def test_seed_domain(scale):
             generate_timeseries(L40, 2.5e7, 0.005, seed=seed, scale=scale)
 
 
+def test_coherence_time_range(scale):
+    lp = scale.planck_length
+    assert coherence_time(lp, scale) == 2.0 * lp / scale.c
+    assert coherence_time(8e307, scale) == 2.0 * 8e307 / scale.c
+    with pytest.raises(InvalidSeparationError, match="below the Planck length"):
+        coherence_time(lp / 2, scale)
+    with pytest.raises(InvalidSeparationError, match="below the Planck length"):
+        coherence_time(1e-310, scale)
+    with pytest.raises(InvalidSeparationError, match="overflows 2L/c"):
+        coherence_time(1e308, scale)
+    for L in (0.0, -L40, math.nan, math.inf):
+        with pytest.raises(InvalidSeparationError) as exc:
+            coherence_time(L, scale)
+        assert str(exc.value) == f"arm length must be positive and finite, got {L!r}"
+
+
 def test_generation_preconditions(scale):
     with pytest.raises(UndersamplingError):
         generate_timeseries(L40, 1e6, 0.1, seed=0, scale=scale)
