@@ -45,12 +45,12 @@ def schwarzschild_radius(mass, scale: PlanckScale):
 def intersection_scale(scale: PlanckScale, reduced: bool = True) -> float:
     """Common length where the quantum and black-hole lines cross.
 
-    Solves compton_size(m) = schwarzschild_radius(m); with the reduced
-    convention the closed form is sqrt(2 hbar G / c^3) = sqrt(2) * planck_length.
+    Solves compton_size(m) = schwarzschild_radius(m) in closed form:
+    sqrt(2 hbar G / c^3) = sqrt(2) * planck_length with the reduced
+    convention, sqrt(4 pi) * planck_length with the full one.
     """
     factor = 1.0 if reduced else 2.0 * math.pi
-    mass = math.sqrt(factor * scale.hbar * scale.c / (2.0 * scale.G))
-    return schwarzschild_radius(mass, scale)
+    return math.sqrt(2.0 * factor) * scale.planck_length
 
 
 def classify(mass: float, size: float, scale: PlanckScale,

@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Subcommands: algebra, noise, spectrum, interferometer, bounds. Each
-command validates and computes, and returns its report and the files it
-wants written; `run` alone writes those files, then one JSON manifest
-next to the first, and only then prints the report. So a run that ends
-in an error prints no report and writes no output or manifest, unless a
-write itself fails partway (say, an unwritable second dump path).
-Re-running the argv reconstructed from a manifest reproduces the outputs
-bitwise (for seeded runs) since all numerics are deterministic.
+Subcommands: algebra, noise, spectrum, interferometer, bounds. Every
+command runs on the CODATA 2018 constants (`constants.codata_scale`);
+only the library takes an injected scale. Each command validates and
+computes, and returns its report and the files it wants written; `run`
+alone writes those files, then one JSON manifest next to the first, and
+only then prints the report. So a run that ends in an error prints no
+report and writes no output or manifest, unless a write itself fails
+partway (say, an unwritable second dump path). The manifest records the
+command and its options; re-running the argv `[command] + options`
+rebuilt from it reproduces the outputs bitwise (for seeded runs) since
+all numerics are deterministic.
 
 Exit codes: 0 success, 1 domain error, 2 usage error. An output file
 that cannot be opened, written or closed (a missing directory, a full
@@ -29,10 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, bounds, interferometer, noise
-from .constants import C_CODATA, G_CODATA, HBAR_CODATA, derive_planck_scale
-from .errors import InvalidInputError, QGeomError
+from .constants import codata_scale
+from .errors import MAX_ARRAY_LEN, InvalidInputError, QGeomError
 
-_FLOAT_KEYS = {"hbar", "G", "c"}
 CSV_CHUNK_ROWS = 1 << 16
 # the most worker processes that format one CSV: the largest count
 # measured, on a 2-CPU host (see CHANGES.md)
@@ -132,22 +134,22 @@ def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> str:
 
 def manifest_argv(manifest: dict) -> list[str]:
     """Rebuild the argv of a recorded run (output paths included)."""
-    pre: list[str] = []
-    post: list[str] = []
+    argv = [manifest["command"]]
     for key, value in manifest["parameters"].items():
         flag = "--" + key.replace("_", "-")
-        target = pre if key in _FLOAT_KEYS else post
         if isinstance(value, bool):
             if value:
-                target.append(flag)
+                argv.append(flag)
         else:
-            target.extend([flag, repr(value) if isinstance(value, float) else str(value)])
-    return pre + [manifest["command"]] + post
+            argv.extend([flag, repr(value) if isinstance(value, float) else str(value)])
+    return argv
 
 
 def _need_count(flag: str, value: int) -> int:
     if value < 1:
         raise QGeomError(f"need {flag} >= 1, got {value}")
+    if value > MAX_ARRAY_LEN:
+        raise QGeomError(f"{flag} {value} exceeds the largest array, {MAX_ARRAY_LEN} values")
     return value
 
 
@@ -295,9 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Macroscopic quantum-geometry toolkit (SI units throughout)")
     parser.add_argument("--json", action="store_true",
                         help="emit results as a JSON document")
-    parser.add_argument("--hbar", type=float, default=HBAR_CODATA, help=argparse.SUPPRESS)
-    parser.add_argument("--G", type=float, default=G_CODATA, help=argparse.SUPPRESS)
-    parser.add_argument("--c", type=float, default=C_CODATA, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="build a position-algebra representation")
@@ -361,8 +360,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        scale = derive_planck_scale(hbar=args.hbar, G=args.G, c=args.c)
-        report, files = args.func(args, scale)
+        report, files = args.func(args, codata_scale())
         for path, header, columns in files:
             _write_csv(path, header, columns)
         if files:

@@ -1,8 +1,13 @@
 """Exception hierarchy shared across the toolkit, and the one argument rule."""
 
 import math
+import sys
 
 import numpy as np
+
+# the most float64 values one array can hold: beyond it the byte count
+# exceeds any address space, and numpy raises ValueError, not MemoryError
+MAX_ARRAY_LEN = sys.maxsize // 8
 
 
 class QGeomError(ValueError):

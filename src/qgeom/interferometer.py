@@ -104,7 +104,13 @@ def cross_spectrum(a: InterferometerConfig, b: InterferometerConfig,
     f = _check_grid(frequencies)
     sa = analytic_psd(a.arm_length, f, scale)
     sb = analytic_psd(b.arm_length, f, scale)
-    return overlap_factor(a, b) * np.sqrt(sa * sb)
+    with np.errstate(over="ignore"):
+        product = sa * sb
+    if not np.isfinite(product).all():
+        raise InvalidGridError(
+            f"cross-PSD of arm lengths {a.arm_length!r} and {b.arm_length!r} m "
+            "overflows on this frequency grid")
+    return overlap_factor(a, b) * np.sqrt(product)
 
 
 def detectability(config: InterferometerConfig, floor: float,
@@ -113,15 +119,20 @@ def detectability(config: InterferometerConfig, floor: float,
     """Radiometer-style detectability against a flat instrument floor.
 
     snr_proxy = [noise.band_power over the band / (floor * bandwidth)]
-    * sqrt(integration_time * bandwidth). Verdict: detect >= 5,
-    marginal in [1, 5), exclude < 1.
+    * sqrt(integration_time * bandwidth), formed as (power / floor)
+    * sqrt(integration_time / bandwidth) so that neither product can
+    overflow; a proxy that is still not finite is refused. Verdict:
+    detect >= 5, marginal in [1, 5), exclude < 1.
     """
     f_lo, f_hi = band
     power = band_power(config.arm_length, f_lo, f_hi, scale)
     positive("floor", floor, InvalidInputError)
     positive("integration_time", integration_time, InvalidInputError)
-    width = f_hi - f_lo
-    snr = power / (floor * width) * math.sqrt(integration_time * width)
+    snr = power / floor * math.sqrt(integration_time / (f_hi - f_lo))
+    if not math.isfinite(snr):
+        raise InvalidInputError(
+            f"snr_proxy of band power {power!r} m^2 over floor {floor!r} m^2/Hz "
+            f"for {integration_time!r} s is not finite")
     if snr >= SNR_DETECT:
         verdict = "detect"
     elif snr >= SNR_MARGINAL:

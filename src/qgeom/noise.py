@@ -24,9 +24,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import PlanckScale
 from .errors import (
+    MAX_ARRAY_LEN,
     InsufficientDataError,
     InsufficientDurationError,
     InvalidBandError,
+    InvalidGridError,
     InvalidInputError,
     InvalidSeparationError,
     SegmentationError,
@@ -123,6 +125,10 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     if duration < 10.0 * tau_c:
         raise InsufficientDurationError(
             f"duration {duration} s under 10 coherence windows ({10 * tau_c:.3e} s)")
+    if not sample_rate * duration <= MAX_ARRAY_LEN:
+        raise InvalidInputError(
+            f"sample rate {sample_rate!r} Hz times duration {duration!r} s exceeds "
+            f"the largest array, {MAX_ARRAY_LEN} samples")
     n = int(round(sample_rate * duration))
     if n < 2:
         raise InsufficientDurationError("series must contain at least 2 samples")
@@ -212,8 +218,14 @@ def analytic_psd(L: float, f, scale: PlanckScale):
     """
     tau_c = coherence_time(L, scale)
     f_arr = np.asarray(f, dtype=float)
-    base = scale.lam * L * tau_c * np.sinc(f_arr * tau_c) ** 2
-    out = np.where(f_arr > 0.0, 2.0 * base, base)
+    # np.sinc forms pi * f * tau_c, and lam * L * tau_c grows as L^2: where
+    # either overflows the model has no value, so the grid is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = scale.lam * L * tau_c * np.sinc(f_arr * tau_c) ** 2
+        out = np.where(f_arr > 0.0, 2.0 * base, base)
+    if not np.isfinite(out).all():
+        raise InvalidGridError(
+            f"model PSD of arm length {L!r} m is not finite on this frequency grid")
     return float(out) if np.isscalar(f) or f_arr.ndim == 0 else out
 
 

@@ -54,8 +54,24 @@ def test_intersection_scale(scale):
     assert 1.0 <= ratio <= 2.0
 
 
+def test_intersection_scale_full_convention(scale):
+    # 2 pi hbar/(m c) = 2 G m/c^2 at r^2 = 4 pi hbar G / c^3
+    oracle = math.sqrt(4 * math.pi * scale.hbar * scale.G / scale.c ** 3)
+    assert bounds.intersection_scale(scale, reduced=False) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_intersection_scale_at_large_G():
+    # the crossing mass sqrt(hbar c / 2G) underflows to 0 here; the closed
+    # form never forms it
+    big_g = derive_planck_scale(G=1e300)
+    assert bounds.intersection_scale(big_g) == 2.7978345174130506e+120
+    assert bounds.intersection_scale(big_g) == math.sqrt(2.0) * big_g.planck_length
+
+
 def test_intersection_scaling_laws():
     base = derive_planck_scale(hbar=1.0, G=1.0, c=1.0)
+    assert base.planck_length == pytest.approx(1.0)
+    assert bounds.intersection_scale(base) == pytest.approx(math.sqrt(2), rel=1e-12)
     g4 = derive_planck_scale(hbar=1.0, G=4.0, c=1.0)
     assert bounds.intersection_scale(g4) == pytest.approx(
         2 * bounds.intersection_scale(base), rel=1e-12)

@@ -111,6 +111,23 @@ def test_noise_manifest_rerun_bitwise(command, tmp_path, monkeypatch):
     assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
+def test_manifest_with_constants_is_usage_error(tmp_path, monkeypatch, capsys):
+    # manifests record no constants; one that lists them, as older
+    # manifests do, names options the CLI no longer has
+    assert run_in(tmp_path, monkeypatch, ["bounds", "--grid-points", "20",
+                                          "--out", "c.csv"]) == 0
+    path = tmp_path / "c.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    assert not {"hbar", "G", "c"} & set(manifest["parameters"])
+    manifest["parameters"].update(G=6.6743e-11, c=299792458.0, hbar=1.054571817e-34)
+    path.write_text(json.dumps(manifest))
+    (tmp_path / "c.csv").unlink()
+    capsys.readouterr()
+    assert cli.rerun_from_manifest(path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv.manifest.json"]
+
+
 def test_env_seed_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QGEOM_SEED", "99")
     argv = ["noise", "--arm-length", "40", "--rate", "2.5e7",
@@ -211,8 +228,7 @@ def test_bounds_grid_one_call_per_line(tmp_path, monkeypatch):
     assert run_in(tmp_path, monkeypatch, ["bounds", "--grid-points", "5000",
                                           "--out", "c.csv"]) == 0
     assert calls["compton_size"] == [5000]
-    # the other call is intersection_scale's, at the crossing mass
-    assert calls["schwarzschild_radius"] == [1, 5000]
+    assert calls["schwarzschild_radius"] == [5000]
 
 
 @pytest.mark.filterwarnings("error")
@@ -262,6 +278,7 @@ BAD_INPUTS = {
     "forty.cfg": "label = a\narm_length_m = forty\n",
     "nan.cfg": "label = b\narm_length_m = 40\nposition_m = nan,0,0\n",
     "inf.cfg": "label = b\narm_length_m = 40\nposition_m = inf,0,0\n",
+    "big.cfg": "label = big\narm_length_m = 1e150\n",
 }
 
 
@@ -321,6 +338,20 @@ BAD_INPUTS = {
     ["interferometer", "--arm-length", "1e-310", "--floor", "1e-41"],
     # the last grid mass rounds up to inf
     ["bounds", "--grid-min", "1", "--grid-max", "1.7976931348623157e308", "--out", "g.csv"],
+    # pi f 2L/c overflows in the model PSD, and rate * duration overflows
+    ["interferometer", "--arm-length", "5.677e16", "--f-max", "1e300", "--n-freq", "1012",
+     "--out", "p.csv"],
+    ["noise", "--arm-length", "1e101", "--rate", "1e308", "--duration", "1e308",
+     "--out", "s.csv"],
+    # counts beyond any array, which numpy refuses with ValueError or IndexError
+    ["noise", "--arm-length", "40", "--rate", "1.7976931348623157e308", "--duration", "1e-5",
+     "--out", "s.csv"],
+    ["interferometer", "--arm-length", "40", "--n-freq", "1152921504606846976",
+     "--out", "f.csv"],
+    ["bounds", "--grid-points", "9223372036854775808", "--out", "c.csv"],
+    # lam L 2L/c, and the product of two such PSDs, overflow
+    ["interferometer", "--arm-length", "1e300", "--out", "x.csv"],
+    ["interferometer", "--config", "big.cfg", "--config-b", "big.cfg", "--out", "x.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -406,12 +437,33 @@ def test_python_m_entry_point():
     assert proc.stdout.startswith("planck_length_m ")
 
 
-def test_injected_constants(capsys):
-    assert cli.run(["--hbar", "1", "--G", "1", "--c", "1", "--json",
-                    "bounds", "--mass", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert float(doc["planck_length_m"]) == pytest.approx(1.0)
-    assert float(doc["intersection_m"]) == pytest.approx(math.sqrt(2), rel=1e-12)
+@pytest.mark.parametrize("argv", [
+    ["--hbar", "1", "bounds"],
+    ["--G", "1", "bounds"],
+    ["--c", "1", "bounds"],
+    ["--c", "1e-310", "bounds"],
+    ["--c", "5e-324", "algebra", "--spin", "1", "--check"],
+    ["--c", "8.9e295", "bounds"],
+    ["--G", "1e300", "interferometer", "--arm-length", "1e300"],
+    ["--hbar", "1e6", "bounds", "--mass", "5e-324"],
+])
+def test_constant_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # the CLI runs on the CODATA constants alone
+    assert run_in(tmp_path, monkeypatch, argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("usage:") == err.count("error:") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_detectability_radiometer_products_overflow(capsys):
+    # floor * bandwidth and integration_time * bandwidth overflow, the proxy does not
+    assert cli.run(["interferometer", "--arm-length", "40", "--floor", "1.2e16",
+                    "--band-lo", "40", "--band-hi", "3.6e292",
+                    "--integration-time", "1e236"]) == 0
+    out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert 0.0 < float(out["snr_proxy"]) < math.inf
+    assert out["verdict"] == "exclude"
 
 
 def reference_csv(header, rows):

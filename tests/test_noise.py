@@ -8,6 +8,7 @@ from qgeom import noise
 from qgeom.errors import (
     InsufficientDataError,
     InsufficientDurationError,
+    InvalidGridError,
     InvalidInputError,
     InvalidSeparationError,
     SegmentationError,
@@ -226,6 +227,23 @@ def test_analytic_psd_integral(scale):
     psd = analytic_psd(L40, f, scale)
     integral = np.sum((psd[1:] + psd[:-1]) * np.diff(f)) / 2  # trapezoid rule
     assert integral == pytest.approx(scale.lam * L40, rel=1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_analytic_psd_refuses_overflow(scale):
+    # pi * f * 2L/c overflows inside np.sinc, and 2 lam L 2L/c beyond 5e175 m
+    with pytest.raises(InvalidGridError):
+        analytic_psd(5.677e16, np.array([0.0, 1e300]), scale)
+    with pytest.raises(InvalidGridError):
+        analytic_psd(1e300, 0.0, scale)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_total_beyond_any_array(scale):
+    # refused before int() or numpy sees it: one overflows, one is 2.5e307 samples
+    for rate, duration in ((1e308, 1e308), (2.5e7, 1e300)):
+        with pytest.raises(InvalidInputError, match="largest array"):
+            generate_timeseries(L40, rate, duration, 0, scale)
 
 
 def test_band_power_total_is_variance(scale):
