@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: algebra, noise, spectrum, interferometer, bounds. Every
-command runs on the CODATA 2018 constants (`constants.codata_scale`);
-only the library takes an injected scale. Each command validates and
-computes, and returns its report and the files it wants written; `run`
-alone writes those files, then one JSON manifest next to the first, and
-only then prints the report. So a run that ends in an error prints no
-report and writes no output or manifest, unless a write itself fails
-partway (say, an unwritable second dump path). The manifest records the
-command and its options; re-running the argv `[command] + options`
-rebuilt from it reproduces the outputs bitwise (for seeded runs) since
-all numerics are deterministic.
+command runs on the CODATA 2018 constants, the defaults of
+`constants.derive_planck_scale`; only the library takes an injected
+scale. Each command validates and computes, and returns its report and
+the files it wants written; `run` alone writes those files, then one
+JSON manifest next to the first, and only then prints the report. So a
+run that ends in an error prints no report and writes no output or
+manifest, unless a write itself fails partway (say, an unwritable second
+dump path). The manifest records the command and its options;
+re-running the argv `[command] + options` rebuilt from it reproduces
+the outputs bitwise (for seeded runs) since all numerics are
+deterministic.
 
 Exit codes: 0 success, 1 domain error, 2 usage error. An output file
 that cannot be opened, written or closed (a missing directory, a full
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, bounds, interferometer, noise
-from .constants import codata_scale
+from .constants import derive_planck_scale
 from .errors import MAX_ARRAY_LEN, InvalidInputError, QGeomError
 
 CSV_CHUNK_ROWS = 1 << 16
@@ -360,7 +361,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, files = args.func(args, codata_scale())
+        report, files = args.func(args, derive_planck_scale())
         for path, header, columns in files:
             _write_csv(path, header, columns)
         if files:

@@ -108,8 +108,8 @@ def cross_spectrum(a: InterferometerConfig, b: InterferometerConfig,
         product = sa * sb
     if not np.isfinite(product).all():
         raise InvalidGridError(
-            f"cross-PSD of arm lengths {a.arm_length!r} and {b.arm_length!r} m "
-            "overflows on this frequency grid")
+            f"product of the PSDs of arm lengths {a.arm_length!r} and "
+            f"{b.arm_length!r} m overflows float64 on this frequency grid")
     return overlap_factor(a, b) * np.sqrt(product)
 
 
@@ -120,9 +120,11 @@ def detectability(config: InterferometerConfig, floor: float,
 
     snr_proxy = [noise.band_power over the band / (floor * bandwidth)]
     * sqrt(integration_time * bandwidth), formed as (power / floor)
-    * sqrt(integration_time / bandwidth) so that neither product can
-    overflow; a proxy that is still not finite is refused. Verdict:
-    detect >= 5, marginal in [1, 5), exclude < 1.
+    * sqrt(integration_time / bandwidth) so that floor * bandwidth and
+    integration_time * bandwidth are never formed. power / floor can
+    still overflow (a floor near 5e-324 m^2/Hz), and a proxy that is not
+    finite is refused. Verdict: detect >= 5, marginal in [1, 5),
+    exclude < 1.
     """
     f_lo, f_hi = band
     power = band_power(config.arm_length, f_lo, f_hi, scale)

@@ -352,6 +352,9 @@ BAD_INPUTS = {
     # lam L 2L/c, and the product of two such PSDs, overflow
     ["interferometer", "--arm-length", "1e300", "--out", "x.csv"],
     ["interferometer", "--config", "big.cfg", "--config-b", "big.cfg", "--out", "x.csv"],
+    # power / floor overflows in the radiometer proxy
+    ["interferometer", "--arm-length", "1e30", "--floor", "5e-324", "--band-lo", "0",
+     "--band-hi", "1e16", "--integration-time", "1e-30"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
