@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PlanckScale
-from .errors import (
-    CapacityError,
-    InvalidSeparationError,
-    InvalidSpinError,
-    ShapeError,
-    positive,
-)
+from .errors import QGeomError, positive
 
 # Dense view: three complex dim x dim matrices, 256 MB each at the cap.
 DIMENSION_CAP = 4001
@@ -45,7 +39,7 @@ class AlgebraRep:
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense Hermitian x1, x2, x3, built on each access; capped at DIMENSION_CAP."""
         if self.dim > DIMENSION_CAP:
-            raise CapacityError(f"dense view of dim {self.dim} exceeds cap {DIMENSION_CAP}")
+            raise QGeomError(f"dense view of dim {self.dim} exceeds cap {DIMENSION_CAP}")
         jp = np.diag(self.ladder, 1).astype(complex)
         jm = jp.conj().T
         return (self.lam * 0.5 * (jp + jm), self.lam * (-0.5j) * (jp - jm),
@@ -59,12 +53,11 @@ def build_representation(spin: float, scale: PlanckScale) -> AlgebraRep:
     """
     twice = 2.0 * spin
     if spin < 0 or not math.isfinite(twice) or round(twice) != twice:
-        raise InvalidSpinError(
-            f"spin must be a non-negative multiple of 1/2, got {spin!r}")
+        raise QGeomError(f"spin must be a non-negative multiple of 1/2, got {spin!r}")
     j = float(spin)
     dim = int(round(twice)) + 1
     if dim > BAND_CAP:
-        raise CapacityError(f"dimension {dim} exceeds cap {BAND_CAP} (spin {spin})")
+        raise QGeomError(f"dimension {dim} exceeds cap {BAND_CAP} (spin {spin})")
     m = j - np.arange(dim)
     # J+ couples |j, m> -> |j, m+1> with matrix element sqrt(j(j+1) - m(m+1))
     ladder = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
@@ -103,7 +96,7 @@ def _polar(axis) -> tuple[float, float]:
     """Polar and azimuthal angles (theta, phi) of a unit 3-vector."""
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,) or abs(np.linalg.norm(a) - 1.0) > 1e-10:
-        raise ShapeError(f"axis must be a unit 3-vector, got {axis!r}")
+        raise QGeomError(f"axis must be a unit 3-vector, got {axis!r}")
     return math.atan2(math.hypot(a[0], a[1]), a[2]), math.atan2(a[1], a[0])
 
 
@@ -148,8 +141,7 @@ def transverse_variance_operator(rep: AlgebraRep, state: np.ndarray,
     theta, phi = _polar(axis)
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (rep.dim,):
-        raise ShapeError(
-            f"state dimension {psi.shape} does not match rep dim {rep.dim}")
+        raise QGeomError(f"state dimension {psi.shape} does not match rep dim {rep.dim}")
     e1 = np.array([math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi),
                    -math.sin(theta)])
     e2 = np.array([-math.sin(phi), math.cos(phi), 0.0])
@@ -159,19 +151,19 @@ def transverse_variance_operator(rep: AlgebraRep, state: np.ndarray,
 
 def angular_variance_formula(L: float, scale: PlanckScale) -> float:
     """Directional variance lam / L (dimensionless) for separation L."""
-    positive("separation", L, InvalidSeparationError)
+    positive("separation", L)
     return scale.lam / L
 
 
 def transverse_variance_formula(L: float, scale: PlanckScale) -> float:
     """Transverse position variance lam * L (m^2) for separation L."""
-    positive("separation", L, InvalidSeparationError)
+    positive("separation", L)
     return scale.lam * L
 
 
 def state_count_continuum(R: float, scale: PlanckScale) -> float:
     """Continuum degree-of-freedom count 4 pi (R / planck_length)^2."""
-    positive("radius", R, InvalidSeparationError)
+    positive("radius", R)
     return 4.0 * math.pi * (R / scale.planck_length) ** 2
 
 
@@ -182,6 +174,5 @@ def state_count_discrete(max_spin: int) -> int:
     asymptotic count and break agreement with the continuum formula.
     """
     if not isinstance(max_spin, (int, np.integer)) or max_spin < 0:
-        raise InvalidSpinError(
-            f"max_spin must be a non-negative integer, got {max_spin!r}")
+        raise QGeomError(f"max_spin must be a non-negative integer, got {max_spin!r}")
     return (int(max_spin) + 1) ** 2

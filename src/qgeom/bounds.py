@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .constants import PlanckScale
-from .errors import InvalidInputError, InvalidMassError, positive
+from .errors import positive
 
 FORBIDDEN_QUANTUM = "forbidden_quantum"
 FORBIDDEN_BLACKHOLE = "forbidden_blackhole"
@@ -30,7 +30,7 @@ def compton_size(mass, scale: PlanckScale, reduced: bool = True):
     Where m c overflows (m above about 6e299 kg) the size is 0.0, the
     correctly rounded underflow of hbar/(m c).
     """
-    positive("mass", mass, InvalidMassError)
+    positive("mass", mass)
     with np.errstate(over="ignore"):
         size = scale.hbar / (mass * scale.c)
     return size if reduced else 2.0 * math.pi * size
@@ -38,7 +38,7 @@ def compton_size(mass, scale: PlanckScale, reduced: bool = True):
 
 def schwarzschild_radius(mass, scale: PlanckScale):
     """Black-hole radius 2 G m / c^2 (m)."""
-    positive("mass", mass, InvalidMassError)
+    positive("mass", mass)
     return 2.0 * scale.G * mass / scale.c ** 2
 
 
@@ -56,7 +56,7 @@ def intersection_scale(scale: PlanckScale, reduced: bool = True) -> float:
 def classify(mass: float, size: float, scale: PlanckScale,
              reduced: bool = True) -> str:
     """The one of the four regime constants that a (mass, size) pair lies in."""
-    positive("size", size, InvalidInputError)
+    positive("size", size)
     lc = compton_size(mass, scale, reduced=reduced)
     rs = schwarzschild_radius(mass, scale)
     if size < lc and lc >= rs:

@@ -13,9 +13,11 @@ re-running the argv `[command] + options` rebuilt from it reproduces
 the outputs bitwise (for seeded runs) since all numerics are
 deterministic.
 
-Exit codes: 0 success, 1 domain error, 2 usage error. An output file
-that cannot be opened, written or closed (a missing directory, a full
-disk) and an array too large for memory also end with exit 1 and an
+Exit codes: 0 success, 1 domain error, 2 usage error; an abbreviated
+option is a usage error. An output file that cannot be opened, written
+or closed (a missing directory, a full disk), a report that cannot be
+printed (a closed stdout pipe, a full device; the files written before
+it stay) and an array too large for memory also end with exit 1 and an
 `error:` line, never a traceback.
 """
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import __version__, algebra, bounds, interferometer, noise
 from .constants import derive_planck_scale
-from .errors import MAX_ARRAY_LEN, InvalidInputError, QGeomError
+from .errors import MAX_ARRAY_LEN, QGeomError
 
 CSV_CHUNK_ROWS = 1 << 16
 # the most worker processes that format one CSV: the largest count
@@ -83,12 +85,12 @@ def _csv_workers(chunks: int) -> int:
 @contextlib.contextmanager
 def _open_output(path):
     """Open path for writing; an OSError from open, write or close becomes
-    an InvalidInputError naming the path."""
+    a QGeomError naming the path."""
     try:
         with open(path, "w") as fh:
             yield fh
     except OSError as exc:
-        raise InvalidInputError(f"{path}: cannot write: {exc.strerror or exc}") from None
+        raise QGeomError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _write_csv(path, header: str, columns) -> None:
@@ -169,7 +171,7 @@ def _cmd_algebra(args, scale):
     if args.dump_matrices is None:
         return report, []
     if not args.dump_matrices:
-        raise InvalidInputError("--dump-matrices: empty prefix")
+        raise QGeomError("--dump-matrices: empty prefix")
     # one float index grid and views of the real and imaginary parts, so
     # the dumps hold no copies of their columns while they wait
     row, col = np.indices((rep.dim, rep.dim), dtype=float).reshape(2, -1)
@@ -195,13 +197,13 @@ def _read_series_csv(path):
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except OSError as exc:
-        raise InvalidInputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+        raise QGeomError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except ValueError as exc:
-        raise InvalidInputError(f"{path}: not a t_s,x_m CSV: {exc}") from None
+        raise QGeomError(f"{path}: not a t_s,x_m CSV: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise QGeomError(f"{path}: expected t_s,x_m rows")
     if not np.isfinite(data).all():
-        raise InvalidInputError(f"{path}: non-finite time or sample")
+        raise QGeomError(f"{path}: non-finite time or sample")
     t, x = data[:, 0], data[:, 1]
     steps = np.diff(t)
     step = (t[-1] - t[0]) / (len(t) - 1)
@@ -209,7 +211,7 @@ def _read_series_csv(path):
     # large time offset exceeds 1e-6 of the step
     tol = max(1e-6 * step, 4.0 * np.spacing(np.abs(t).max()))
     if not steps.min() > 0.0 or max(step - steps.min(), steps.max() - step) > tol:
-        raise InvalidInputError(f"{path}: times must increase in uniform steps")
+        raise QGeomError(f"{path}: times must increase in uniform steps")
     return 1.0 / step, x
 
 
@@ -294,13 +296,14 @@ def _cmd_bounds(args, scale):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="qgeom",
+        prog="qgeom", allow_abbrev=False,
         description="Macroscopic quantum-geometry toolkit (SI units throughout)")
     parser.add_argument("--json", action="store_true",
                         help="emit results as a JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("algebra", help="build a position-algebra representation")
+    p = sub.add_parser("algebra", allow_abbrev=False,
+                       help="build a position-algebra representation")
     p.add_argument("--spin", type=float, required=True)
     p.add_argument("--check", action="store_true",
                    help="print the worst commutator residual")
@@ -308,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write x1/x2/x3 as PREFIX_x{1,2,3}.csv")
     p.set_defaults(func=_cmd_algebra)
 
-    p = sub.add_parser("noise", help="synthesize a jitter time series")
+    p = sub.add_parser("noise", allow_abbrev=False,
+                       help="synthesize a jitter time series")
     p.add_argument("--arm-length", type=float, required=True, help="L in m")
     p.add_argument("--rate", type=float, required=True, help="sample rate Hz")
     p.add_argument("--duration", type=float, required=True, help="seconds")
@@ -318,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="series CSV path")
     p.set_defaults(func=_cmd_noise)
 
-    p = sub.add_parser("spectrum", help="Welch PSD of a series CSV")
+    p = sub.add_parser("spectrum", allow_abbrev=False,
+                       help="Welch PSD of a series CSV")
     p.add_argument("--input", required=True, help="series CSV (t_s,x_m)")
     p.add_argument("--arm-length", type=float, required=True)
     p.add_argument("--segment-length", type=int, default=4096)
@@ -326,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="spectrum CSV path")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("interferometer", help="model spectra and detectability")
+    p = sub.add_parser("interferometer", allow_abbrev=False,
+                       help="model spectra and detectability")
     p.add_argument("--config", help="apparatus key-value file")
     p.add_argument("--config-b", help="second apparatus, for a cross-spectrum")
     p.add_argument("--arm-length", type=float, help="inline apparatus, m")
@@ -340,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integration-time", type=float, default=3600.0)
     p.set_defaults(func=_cmd_interferometer)
 
-    p = sub.add_parser("bounds", help="size/mass boundary lines and regimes")
+    p = sub.add_parser("bounds", allow_abbrev=False,
+                       help="size/mass boundary lines and regimes")
     p.add_argument("--mass", type=float, help="kg")
     p.add_argument("--size", type=float, help="m; classify (mass, size)")
     p.add_argument("--compton-convention", choices=("reduced", "full"),
@@ -369,11 +376,18 @@ def run(argv: list[str]) -> int:
     except (QGeomError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for key, value in report.items():
-            print(f"{key} {value}")
+    try:
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            for key, value in report.items():
+                print(f"{key} {value}")
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full device; the files written above stay
+        print(f"error: cannot write the report: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -384,7 +398,13 @@ def rerun_from_manifest(path) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # the unwritten report stays buffered; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConstantError, positive
+from .errors import positive
 
 # CODATA 2018 recommended values
 HBAR_CODATA = 1.054571817e-34  # J s (exact by SI redefinition, truncated)
@@ -48,11 +48,11 @@ def derive_planck_scale(hbar: float = HBAR_CODATA,
 
     Raises
     ------
-    InvalidConstantError
+    QGeomError
         If any input is non-positive or non-finite.
     """
     for name, value in (("hbar", hbar), ("G", G), ("c", c)):
-        positive(name, value, InvalidConstantError)
+        positive(name, value)
     planck_length = math.sqrt(hbar * G / c ** 3)
     return PlanckScale(
         hbar=hbar,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import PlanckScale
-from .errors import InvalidGridError, InvalidInputError, positive
+from .errors import QGeomError, positive
 from .noise import analytic_psd, band_power
 
 SNR_DETECT = 5.0
@@ -32,9 +32,9 @@ class InterferometerConfig:
     label: str = ""
 
     def __post_init__(self):
-        positive("arm_length", self.arm_length, InvalidInputError)
+        positive("arm length", self.arm_length)
         if len(self.position) != 3 or not all(map(math.isfinite, self.position)):
-            raise InvalidInputError(
+            raise QGeomError(
                 f"position must be three finite numbers, got {self.position!r}")
 
 
@@ -53,7 +53,7 @@ def load_config(path) -> InterferometerConfig:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInputError(f"{path}: cannot read config: {exc}") from None
+        raise QGeomError(f"{path}: cannot read config: {exc}") from None
     fields: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -67,9 +67,9 @@ def load_config(path) -> InterferometerConfig:
             position=tuple(float(p) for p in fields.get("position_m", "0,0,0").split(",")),
             label=fields.get("label", ""))
     except KeyError:
-        raise InvalidInputError(f"{path}: missing arm_length_m") from None
+        raise QGeomError(f"{path}: missing arm_length_m") from None
     except ValueError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+        raise QGeomError(f"{path}: {exc}") from None
 
 
 def predict_rms(config: InterferometerConfig, scale: PlanckScale) -> float:
@@ -81,7 +81,7 @@ def _check_grid(frequencies) -> np.ndarray:
     f = np.asarray(frequencies, dtype=float)
     if (f.ndim != 1 or len(f) == 0 or not np.all(np.isfinite(f)) or f[0] < 0.0
             or np.any(np.diff(f) <= 0.0)):
-        raise InvalidGridError("frequency grid must be finite, non-negative and increasing")
+        raise QGeomError("frequency grid must be finite, non-negative and increasing")
     return f
 
 
@@ -107,7 +107,7 @@ def cross_spectrum(a: InterferometerConfig, b: InterferometerConfig,
     with np.errstate(over="ignore"):
         product = sa * sb
     if not np.isfinite(product).all():
-        raise InvalidGridError(
+        raise QGeomError(
             f"product of the PSDs of arm lengths {a.arm_length!r} and "
             f"{b.arm_length!r} m overflows float64 on this frequency grid")
     return overlap_factor(a, b) * np.sqrt(product)
@@ -128,11 +128,11 @@ def detectability(config: InterferometerConfig, floor: float,
     """
     f_lo, f_hi = band
     power = band_power(config.arm_length, f_lo, f_hi, scale)
-    positive("floor", floor, InvalidInputError)
-    positive("integration_time", integration_time, InvalidInputError)
+    positive("floor", floor)
+    positive("integration_time", integration_time)
     snr = power / floor * math.sqrt(integration_time / (f_hi - f_lo))
     if not math.isfinite(snr):
-        raise InvalidInputError(
+        raise QGeomError(
             f"snr_proxy of band power {power!r} m^2 over floor {floor!r} m^2/Hz "
             f"for {integration_time!r} s is not finite")
     if snr >= SNR_DETECT:

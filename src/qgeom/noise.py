@@ -23,18 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import PlanckScale
-from .errors import (
-    MAX_ARRAY_LEN,
-    InsufficientDataError,
-    InsufficientDurationError,
-    InvalidBandError,
-    InvalidGridError,
-    InvalidInputError,
-    InvalidSeparationError,
-    SegmentationError,
-    UndersamplingError,
-    positive,
-)
+from .errors import MAX_ARRAY_LEN, QGeomError, positive
 
 
 @dataclass(frozen=True)
@@ -78,7 +67,7 @@ _SERIES_TERMS = 12
 
 def _check_seed(name: str, value: int, bits: int) -> int:
     if not 0 <= int(value) < 1 << bits:
-        raise InvalidInputError(f"{name} must lie in [0, 2**{bits}), got {value!r}")
+        raise QGeomError(f"{name} must lie in [0, 2**{bits}), got {value!r}")
     return int(value)
 
 
@@ -93,13 +82,13 @@ def coherence_time(L: float, scale: PlanckScale) -> float:
     L must be finite and at least the Planck length, and 2L/c must not
     overflow: with the CODATA constants, from 1.6e-35 m to about 9e307 m.
     """
-    positive("arm length", L, InvalidSeparationError)
+    positive("arm length", L)
     if L < scale.planck_length:
-        raise InvalidSeparationError(
+        raise QGeomError(
             f"arm length {L!r} m is below the Planck length {scale.planck_length!r} m")
     tau_c = 2.0 * L / scale.c
     if tau_c == math.inf:
-        raise InvalidSeparationError(f"arm length {L!r} m overflows 2L/c")
+        raise QGeomError(f"arm length {L!r} m overflows 2L/c")
     return tau_c
 
 
@@ -116,22 +105,22 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     seed = _check_seed("seed", seed, 128)
     tau_c = coherence_time(L, scale)
     if not (math.isfinite(sample_rate) and math.isfinite(duration)):
-        raise InvalidInputError(f"sample rate and duration must be finite, "
-                                f"got {sample_rate!r} and {duration!r}")
+        raise QGeomError(f"sample rate and duration must be finite, "
+                         f"got {sample_rate!r} and {duration!r}")
     if sample_rate * tau_c < 4.0:
-        raise UndersamplingError(
+        raise QGeomError(
             f"sample rate {sample_rate} gives under 4 samples per coherence "
             f"window {tau_c:.3e} s; need rate > {4.0 / tau_c:.3e} Hz")
     if duration < 10.0 * tau_c:
-        raise InsufficientDurationError(
+        raise QGeomError(
             f"duration {duration} s under 10 coherence windows ({10 * tau_c:.3e} s)")
     if not sample_rate * duration <= MAX_ARRAY_LEN:
-        raise InvalidInputError(
+        raise QGeomError(
             f"sample rate {sample_rate!r} Hz times duration {duration!r} s exceeds "
             f"the largest array, {MAX_ARRAY_LEN} samples")
     n = int(round(sample_rate * duration))
     if n < 2:
-        raise InsufficientDurationError("series must contain at least 2 samples")
+        raise QGeomError("series must contain at least 2 samples")
     m = int(round(sample_rate * tau_c))
     rng = np.random.Generator(np.random.Philox(key=seed))
     white = rng.standard_normal(n + m - 1)
@@ -159,9 +148,9 @@ def autocorrelation(series: NoiseSeries, max_lag: float):
     x = series.samples
     n = len(x)
     if not (math.isfinite(max_lag) and max_lag >= 0.0):
-        raise InvalidInputError(f"max_lag must be finite and non-negative, got {max_lag!r}")
+        raise QGeomError(f"max_lag must be finite and non-negative, got {max_lag!r}")
     if max_lag > series.duration / 4.0:
-        raise InsufficientDataError(
+        raise QGeomError(
             f"max_lag {max_lag} s exceeds a quarter of the {series.duration} s series")
     k_max = int(round(max_lag * series.sample_rate))
     x0 = x - x.mean()
@@ -187,14 +176,12 @@ def power_spectrum(series: NoiseSeries, segment_length: int,
     """
     n = len(series.samples)
     if segment_length < 2 or segment_length & (segment_length - 1):
-        raise SegmentationError(
+        raise QGeomError(
             f"segment_length must be a power of two of at least 2, got {segment_length}")
     if segment_length > n:
-        raise SegmentationError(
-            f"segment_length {segment_length} exceeds series length {n}")
+        raise QGeomError(f"segment_length {segment_length} exceeds series length {n}")
     if not 0.0 <= overlap_fraction < 1.0:
-        raise SegmentationError(
-            f"overlap_fraction must lie in [0, 1), got {overlap_fraction}")
+        raise QGeomError(f"overlap_fraction must lie in [0, 1), got {overlap_fraction}")
     step = segment_length - int(segment_length * overlap_fraction)
     segments = sliding_window_view(series.samples, segment_length)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
@@ -224,7 +211,7 @@ def analytic_psd(L: float, f, scale: PlanckScale):
         base = scale.lam * L * tau_c * np.sinc(f_arr * tau_c) ** 2
         out = np.where(f_arr > 0.0, 2.0 * base, base)
     if not np.isfinite(out).all():
-        raise InvalidGridError(
+        raise QGeomError(
             f"model PSD of arm length {L!r} m is not finite on this frequency grid")
     return float(out) if np.isscalar(f) or f_arr.ndim == 0 else out
 
@@ -263,12 +250,11 @@ def band_power(L: float, f_lo: float, f_hi: float, scale: PlanckScale) -> float:
     between in closed form, so the cost is bounded.
     """
     if not 0.0 <= f_lo < f_hi < math.inf:
-        raise InvalidBandError(
-            f"band must satisfy 0 <= f_lo < f_hi < inf, got {(f_lo, f_hi)!r}")
+        raise QGeomError(f"band must satisfy 0 <= f_lo < f_hi < inf, got {(f_lo, f_hi)!r}")
     tau_c = coherence_time(L, scale)
     a, b = f_lo * tau_c, f_hi * tau_c
     if not math.isfinite(b):
-        raise InvalidBandError(f"band end {f_hi!r} Hz times 2L/c overflows")
+        raise QGeomError(f"band end {f_hi!r} Hz times 2L/c overflows")
     # exact integers: float offsets from them would round beyond 2**53
     k_lo, k_hi = math.floor(a), math.floor(b)
     if k_hi - k_lo < 2 * _EDGE_PIECES:
@@ -297,6 +283,7 @@ def band_power(L: float, f_lo: float, f_hi: float, scale: PlanckScale) -> float:
 
 
 def drift_velocity_scale(L: float, scale: PlanckScale) -> float:
-    """RMS displacement over the one-way coherence time: c*sqrt(lam/L) (m/s)."""
-    positive("arm length", L, InvalidSeparationError)
+    """RMS displacement over the one-way coherence time: c*sqrt(lam/L) (m/s),
+    for L in the range of :func:`coherence_time`."""
+    coherence_time(L, scale)
     return scale.c * math.sqrt(scale.lam / L)

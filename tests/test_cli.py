@@ -449,14 +449,56 @@ def test_python_m_entry_point():
     ["--c", "8.9e295", "bounds"],
     ["--G", "1e300", "interferometer", "--arm-length", "1e300"],
     ["--hbar", "1e6", "bounds", "--mass", "5e-324"],
+    # an option is spelled in full, never abbreviated
+    ["bounds", "--c", "full", "--mass", "1"],
+    ["interferometer", "--arm", "40"],
+    ["noise", "--arm-length", "40", "--rate", "2.5e7", "--dur", "0.001", "--out", "s.csv"],
+    ["--js", "bounds"],
 ])
 def test_constant_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
-    # the CLI runs on the CODATA constants alone
+    # the CLI runs on the CODATA constants alone, and takes no abbreviation
     assert run_in(tmp_path, monkeypatch, argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("usage:") == err.count("error:") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_arm_length_message_is_shared(tmp_path, monkeypatch, capsys):
+    (tmp_path / "ok.csv").write_text(BAD_INPUTS["ok.csv"])
+    errs = []
+    for argv in (["interferometer", "--arm-length", "-5"],
+                 ["spectrum", "--input", "ok.csv", "--arm-length", "-5",
+                  "--segment-length", "2", "--out", "p.csv"]):
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: arm length must be positive and finite, got -5.0\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+def test_unwritable_stdout_exit_1(sink, unbuffered, tmp_path):
+    # the report cannot be printed: one error line, and no second complaint
+    # when Python flushes a buffered stdout at shutdown
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("needs /dev/full")
+        stdout = os.open(sink, os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qgeom.cli", "--json", "bounds"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              cwd=tmp_path, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write the report")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_detectability_radiometer_products_overflow(capsys):

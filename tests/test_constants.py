@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgeom.constants import derive_planck_scale
-from qgeom.errors import InvalidConstantError
+from qgeom.errors import QGeomError
 
 
 def test_planck_length_anchor():
@@ -49,5 +49,6 @@ def test_hbar_scaling(s):
     {"G": float("nan")}, {"c": float("inf")},
 ])
 def test_invalid_constants_rejected(bad):
-    with pytest.raises(InvalidConstantError):
+    (name,) = bad
+    with pytest.raises(QGeomError, match=f"^{name} must be positive and finite"):
         derive_planck_scale(**{"hbar": 1.0, "G": 1.0, "c": 1.0, **bad})

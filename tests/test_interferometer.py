@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qgeom import interferometer as itf
 from qgeom.algebra import transverse_variance_formula
-from qgeom.errors import InvalidBandError, InvalidGridError, InvalidInputError
+from qgeom.errors import QGeomError
 from qgeom.noise import analytic_psd, band_power
 
 
@@ -67,7 +67,7 @@ def test_rms_matches_variance_formula(scale, cfg40):
 
 
 def test_invalid_arm_length():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(QGeomError, match="^arm length must be positive and finite"):
         itf.InterferometerConfig(arm_length=0.0)
 
 
@@ -95,14 +95,14 @@ def test_output_psd_integral(scale, cfg40):
 
 
 def test_output_psd_grid_validation(scale, cfg40):
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(QGeomError, match="frequency grid must be finite"):
         itf.predict_output_psd(cfg40, [1.0, 0.5, 2.0], scale)
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(QGeomError, match="frequency grid must be finite"):
         itf.predict_output_psd(cfg40, [-1.0, 0.0, 1.0], scale)
     for grid in ([math.nan, 1.0], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]):
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(QGeomError, match="frequency grid must be finite"):
             itf.predict_output_psd(cfg40, grid, scale)
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(QGeomError, match="frequency grid must be finite"):
             itf.cross_spectrum(cfg40, cfg40, grid, scale)
 
 
@@ -189,25 +189,25 @@ def test_detectability_monotone_in_floor(scale, cfg40):
 
 
 def test_detectability_invalid_band(scale, cfg40):
-    with pytest.raises(InvalidBandError):
+    with pytest.raises(QGeomError, match="band must satisfy 0 <= f_lo < f_hi < inf"):
         itf.detectability(cfg40, 1e-40, (5e6, 1e6), 100.0, scale)
-    with pytest.raises(InvalidBandError):
+    with pytest.raises(QGeomError, match="band must satisfy 0 <= f_lo < f_hi < inf"):
         itf.detectability(cfg40, 1e-40, (2e6, 2e6), 100.0, scale)
-    with pytest.raises(InvalidBandError):  # f_hi * 2L/c overflows
+    with pytest.raises(QGeomError, match="band end 1e[+]308 Hz times 2L/c overflows"):
         itf.detectability(itf.InterferometerConfig(1e10), 1e-40, (1e6, 1e308), 100.0, scale)
 
 
-@pytest.mark.parametrize("floor, band, integration_time, error", [
-    (1e-41, (1e6, math.inf), 3600.0, InvalidBandError),
-    (1e-41, (math.nan, 5e6), 3600.0, InvalidBandError),
-    (1e-41, (1e6, math.nan), 3600.0, InvalidBandError),
-    (math.inf, (1e6, 5e6), 3600.0, InvalidInputError),
-    (math.nan, (1e6, 5e6), 3600.0, InvalidInputError),
-    (1e-41, (1e6, 5e6), math.inf, InvalidInputError),
-    (1e-41, (1e6, 5e6), math.nan, InvalidInputError),
+@pytest.mark.parametrize("floor, band, integration_time, refused", [
+    (1e-41, (1e6, math.inf), 3600.0, "band"),
+    (1e-41, (math.nan, 5e6), 3600.0, "band"),
+    (1e-41, (1e6, math.nan), 3600.0, "band"),
+    (math.inf, (1e6, 5e6), 3600.0, "floor"),
+    (math.nan, (1e6, 5e6), 3600.0, "floor"),
+    (1e-41, (1e6, 5e6), math.inf, "integration_time"),
+    (1e-41, (1e6, 5e6), math.nan, "integration_time"),
 ])
-def test_detectability_non_finite(scale, cfg40, floor, band, integration_time, error):
-    with pytest.raises(error):
+def test_detectability_non_finite(scale, cfg40, floor, band, integration_time, refused):
+    with pytest.raises(QGeomError, match=f"^{refused} must"):
         itf.detectability(cfg40, floor, band, integration_time, scale)
 
 
@@ -227,5 +227,5 @@ def test_load_config(tmp_path):
 def test_load_config_missing_arm(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("label = x\n")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(QGeomError, match="bad.cfg: missing arm_length_m"):
         itf.load_config(path)

@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from qgeom import noise
-from qgeom.errors import (
-    InsufficientDataError,
-    InsufficientDurationError,
-    InvalidGridError,
-    InvalidInputError,
-    InvalidSeparationError,
-    SegmentationError,
-    UndersamplingError,
-)
+from qgeom.errors import QGeomError
 from qgeom.noise import (
     NoiseSeries,
     analytic_psd,
@@ -65,11 +57,12 @@ def test_stream_seeds_distinct():
 
 def test_seed_domain(scale):
     assert derive_stream_seed(2**64 - 1, 2**64 - 1) == 2**128 - 1
-    for master, k in [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)]:
-        with pytest.raises(InvalidInputError):
+    for master, k, name in [(-1, 0, "master_seed"), (2**64, 0, "master_seed"),
+                            (0, -1, "k"), (0, 2**64, "k")]:
+        with pytest.raises(QGeomError, match=rf"^{name} must lie in \[0, 2\*\*64\)"):
             derive_stream_seed(master, k)
     for seed in (-1, 2**128):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(QGeomError, match=r"^seed must lie in \[0, 2\*\*128\)"):
             generate_timeseries(L40, 2.5e7, 0.005, seed=seed, scale=scale)
 
 
@@ -77,22 +70,22 @@ def test_coherence_time_range(scale):
     lp = scale.planck_length
     assert coherence_time(lp, scale) == 2.0 * lp / scale.c
     assert coherence_time(8e307, scale) == 2.0 * 8e307 / scale.c
-    with pytest.raises(InvalidSeparationError, match="below the Planck length"):
+    with pytest.raises(QGeomError, match="below the Planck length"):
         coherence_time(lp / 2, scale)
-    with pytest.raises(InvalidSeparationError, match="below the Planck length"):
+    with pytest.raises(QGeomError, match="below the Planck length"):
         coherence_time(1e-310, scale)
-    with pytest.raises(InvalidSeparationError, match="overflows 2L/c"):
+    with pytest.raises(QGeomError, match="overflows 2L/c"):
         coherence_time(1e308, scale)
     for L in (0.0, -L40, math.nan, math.inf):
-        with pytest.raises(InvalidSeparationError) as exc:
+        with pytest.raises(QGeomError, match="arm length must be positive") as exc:
             coherence_time(L, scale)
         assert str(exc.value) == f"arm length must be positive and finite, got {L!r}"
 
 
 def test_generation_preconditions(scale):
-    with pytest.raises(UndersamplingError):
+    with pytest.raises(QGeomError, match="under 4 samples per coherence window"):
         generate_timeseries(L40, 1e6, 0.1, seed=0, scale=scale)
-    with pytest.raises(InsufficientDurationError):
+    with pytest.raises(QGeomError, match="under 10 coherence windows"):
         generate_timeseries(L40, 2.5e7, 1e-6, seed=0, scale=scale)
 
 
@@ -124,7 +117,7 @@ def test_acf_triangle_shape(series40, scale):
 
 
 def test_acf_max_lag_guard(series40):
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(QGeomError, match="max_lag .* exceeds a quarter of the"):
         autocorrelation(series40, max_lag=series40.duration / 2)
 
 
@@ -151,7 +144,7 @@ def test_acf_matches_correlate(k_max):
 def test_acf_max_lag_invalid(max_lag):
     series = NoiseSeries(samples=np.random.default_rng(9).standard_normal(2500),
                          sample_rate=2.5e7)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(QGeomError, match="max_lag must be finite and non-negative"):
         autocorrelation(series, max_lag=max_lag)
 
 
@@ -184,13 +177,13 @@ def test_psd_rolloff_band(series40, scale):
 
 
 def test_psd_segmentation_errors(series40):
-    with pytest.raises(SegmentationError):
+    with pytest.raises(QGeomError, match="segment_length must be a power of two"):
         power_spectrum(series40, segment_length=1000)  # not a power of two
-    with pytest.raises(SegmentationError):
+    with pytest.raises(QGeomError, match="segment_length must be a power of two"):
         power_spectrum(series40, segment_length=1)  # no Hann taper of one sample
-    with pytest.raises(SegmentationError):
+    with pytest.raises(QGeomError, match="segment_length 16777216 exceeds series length"):
         power_spectrum(series40, segment_length=2 ** 24)
-    with pytest.raises(SegmentationError):
+    with pytest.raises(QGeomError, match="overlap_fraction must lie in"):
         power_spectrum(series40, segment_length=1024, overlap_fraction=1.0)
 
 
@@ -232,9 +225,9 @@ def test_analytic_psd_integral(scale):
 @pytest.mark.filterwarnings("error")
 def test_analytic_psd_refuses_overflow(scale):
     # pi * f * 2L/c overflows inside np.sinc, and 2 lam L 2L/c beyond 5e175 m
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(QGeomError, match="model PSD of arm length .* is not finite"):
         analytic_psd(5.677e16, np.array([0.0, 1e300]), scale)
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(QGeomError, match="model PSD of arm length .* is not finite"):
         analytic_psd(1e300, 0.0, scale)
 
 
@@ -242,14 +235,14 @@ def test_analytic_psd_refuses_overflow(scale):
 def test_sample_total_beyond_any_array(scale):
     # refused before int() or numpy sees it: one overflows, one is 2.5e307 samples
     for rate, duration in ((1e308, 1e308), (2.5e7, 1e300)):
-        with pytest.raises(InvalidInputError, match="largest array"):
+        with pytest.raises(QGeomError, match="largest array"):
             generate_timeseries(L40, rate, duration, 0, scale)
 
 
 def test_band_power_total_is_variance(scale):
     # the closed-form tail makes the whole spectrum cheap; its power is lam*L
     assert band_power(L40, 0.0, 1e300, scale) == pytest.approx(scale.lam * L40, rel=1e-14)
-    with pytest.raises(InvalidSeparationError):
+    with pytest.raises(QGeomError, match="arm length must be positive"):
         band_power(-L40, 1e6, 2e6, scale)
 
 
@@ -283,5 +276,12 @@ def test_drift_velocity(scale):
     v1 = drift_velocity_scale(1.0, scale)
     assert v1 == pytest.approx(2.135e-18 * scale.c, rel=1e-3)
     assert v1 == pytest.approx(6.4e-10, rel=0.01)
-    assert drift_velocity_scale(scale.lam, scale) == pytest.approx(scale.c, rel=1e-12)
+    # v(L) sqrt(L / lam) = c at supported lengths; lam itself is below the
+    # Planck length, which the arm-length rule refuses
+    for L in (1.0, scale.planck_length):
+        assert drift_velocity_scale(L, scale) * math.sqrt(L / scale.lam) == pytest.approx(
+            scale.c, rel=1e-12)
+    for L in (scale.lam, 1e-310):
+        with pytest.raises(QGeomError, match="below the Planck length"):
+            drift_velocity_scale(L, scale)
     assert drift_velocity_scale(100.0, scale) == pytest.approx(v1 / 10, rel=1e-12)
