@@ -15,16 +15,17 @@ deterministic.
 
 Exit codes: 0 success, 1 domain error, 2 usage error; an abbreviated
 option is a usage error. An output file that cannot be opened, written
-or closed (a missing directory, a full disk), a report that cannot be
-printed (a closed stdout pipe, a full device; the files written before
-it stay) and an array too large for memory also end with exit 1 and an
-`error:` line, never a traceback.
+or closed (a missing directory, a full disk), a report or `--help` text
+that cannot be printed (a closed stdout pipe, a full device; the files
+written before it stay) and an array too large for memory also end with
+exit 1 and an `error:` line, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -49,22 +50,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _format_rows(columns, start: int) -> str:
+def _format_rows(columns) -> str:
     # one C-level repr per value, so the bytes match repr(float(v))
-    cells = (map(repr, c[start:start + CSV_CHUNK_ROWS].tolist()) for c in columns)
+    cells = (map(repr, c.tolist()) for c in columns)
     return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-_worker_columns = None  # set only in a CSV worker, by its pool's initializer
-
-
-def _init_csv_worker(columns) -> None:
-    global _worker_columns
-    _worker_columns = columns
-
-
-def _format_worker_rows(start: int) -> str:
-    return _format_rows(_worker_columns, start)
 
 
 def _csv_workers(chunks: int) -> int:
@@ -96,24 +85,24 @@ def _open_output(path):
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length 1-D columns as CSV rows of repr(float) values.
 
-    Rows are formatted CSV_CHUNK_ROWS at a time; a file of several chunks
-    is formatted by forked worker processes and written in row order, so
-    its bytes do not depend on the number of workers.
+    Rows are formatted CSV_CHUNK_ROWS at a time, each chunk from its own
+    slices of the columns. A file of several chunks is formatted by forked
+    worker processes, each of which receives its chunk, and written in row
+    order, so its bytes do not depend on the number of workers.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     starts = range(0, len(columns[0]), CSV_CHUNK_ROWS)
+    chunks = ([c[s:s + CSV_CHUNK_ROWS] for c in columns] for s in starts)
     workers = _csv_workers(len(starts))
     with _open_output(path) as fh:
         fh.write(header + "\n")
         if workers == 1:
-            fh.writelines(_format_rows(columns, start) for start in starts)
+            fh.writelines(map(_format_rows, chunks))
             return
         import multiprocessing
-        # forked workers inherit the columns instead of receiving them
-        # pickled, and never re-run the caller's __main__
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, _init_csv_worker, (columns,)) as pool:
-            fh.writelines(pool.imap(_format_worker_rows, starts))
+        # forked workers never re-run the caller's __main__
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            fh.writelines(pool.imap(_format_rows, chunks))
 
 
 def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> str:
@@ -363,10 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     """Run one command: compute, write its files and manifest, then report."""
     parser = _build_parser()
+    help_text = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(help_text):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # --help exits 0, and its text is printed like a report
+        return int(exc.code) if exc.code else _print_report(help_text.getvalue())
     try:
         report, files = args.func(args, derive_planck_scale())
         for path, header, columns in files:
@@ -376,15 +368,17 @@ def run(argv: list[str]) -> int:
     except (QGeomError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    if args.json:
+        return _print_report(json.dumps(report, indent=2) + "\n")
+    return _print_report("".join(f"{key} {value}\n" for key, value in report.items()))
+
+
+def _print_report(text: str) -> int:
     try:
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
-            for key, value in report.items():
-                print(f"{key} {value}")
+        sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # a closed pipe or a full device; the files written above stay
+        # a closed pipe or a full device; the files written before stay
         print(f"error: cannot write the report: {exc.strerror or exc}",
               file=sys.stderr)
         return 1

@@ -99,7 +99,8 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     The coherence window is the light round trip 2L/c, realized as
     round(rate * 2L/c) / rate since the series averages whole samples (see
     the module docstring). The sample rate must exceed 2c/L (at least 4
-    samples per window) and the duration must cover at least 10 windows.
+    samples per window) and the duration must cover at least 10 windows,
+    so a series has at least 40 samples.
     The seed is a 128-bit Philox key. Deterministic given all inputs.
     """
     seed = _check_seed("seed", seed, 128)
@@ -119,8 +120,6 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
             f"sample rate {sample_rate!r} Hz times duration {duration!r} s exceeds "
             f"the largest array, {MAX_ARRAY_LEN} samples")
     n = int(round(sample_rate * duration))
-    if n < 2:
-        raise QGeomError("series must contain at least 2 samples")
     m = int(round(sample_rate * tau_c))
     rng = np.random.Generator(np.random.Philox(key=seed))
     white = rng.standard_normal(n + m - 1)

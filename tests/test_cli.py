@@ -478,27 +478,28 @@ def test_arm_length_message_is_shared(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
 def test_unwritable_stdout_exit_1(sink, unbuffered, tmp_path):
-    # the report cannot be printed: one error line, and no second complaint
-    # when Python flushes a buffered stdout at shutdown
+    # the report or help cannot be printed: one error line, and no second
+    # complaint when Python flushes a buffered stdout at shutdown
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    if sink == "/dev/full":
-        if not os.path.exists(sink):
-            pytest.skip("needs /dev/full")
-        stdout = os.open(sink, os.O_WRONLY)
-    else:
-        read_end, stdout = os.pipe()
-        os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "qgeom.cli", "--json", "bounds"],
-                              stdout=stdout, stderr=subprocess.PIPE, text=True,
-                              cwd=tmp_path, env=env, timeout=60)
-    finally:
-        os.close(stdout)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: cannot write the report")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("needs /dev/full")
+    for argv in (["--json", "bounds"], ["bounds", "--help"]):
+        if sink == "/dev/full":
+            stdout = os.open(sink, os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qgeom.cli", *argv],
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                  cwd=tmp_path, env=env, timeout=60)
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("error: cannot write the report")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_detectability_radiometer_products_overflow(capsys):
@@ -534,6 +535,11 @@ def csv_kinds():
     mat = algebra.build_representation(3.0, scale).components[0]
     dim = mat.shape[0]
     row, col = np.indices(mat.shape).reshape(2, -1)
+    # a dump of x2 at spin 200 shaped like the CLI's: 160,801 rows in three chunks
+    big = algebra.build_representation(200.0, scale).components[1]
+    dump = (*np.indices(big.shape, dtype=float).reshape(2, -1), big.real.ravel(),
+            big.imag.ravel())
+    assert big.size > 2 * cli.CSV_CHUNK_ROWS
     return [
         ("series", "t_s,x_m", (series.times(), series.samples),
          zip(series.times(), series.samples)),
@@ -546,6 +552,7 @@ def csv_kinds():
           for m in masses)),
         ("matrix", "row,col,re,im", (row, col, mat.real.ravel(), mat.imag.ravel()),
          ((r, c, mat[r, c].real, mat[r, c].imag) for r in range(dim) for c in range(dim))),
+        ("matrix dump", "row,col,re,im", dump, zip(*dump)),
     ]
 
 

@@ -87,6 +87,14 @@ def test_generation_preconditions(scale):
         generate_timeseries(L40, 1e6, 0.1, seed=0, scale=scale)
     with pytest.raises(QGeomError, match="under 10 coherence windows"):
         generate_timeseries(L40, 2.5e7, 1e-6, seed=0, scale=scale)
+    # the smallest accepted pair: 4 samples per window over 10 windows
+    tau = coherence_time(L40, scale)
+    rate, duration = 4.0 / tau, 10.0 * tau
+    for r, d in ((math.nextafter(rate, 0.0), duration),
+                 (rate, math.nextafter(duration, 0.0))):
+        with pytest.raises(QGeomError, match="under"):
+            generate_timeseries(L40, r, d, seed=0, scale=scale)
+    assert len(generate_timeseries(L40, rate, duration, seed=0, scale=scale).samples) >= 40
 
 
 def test_variance_ensemble_convergence(scale):
