@@ -82,17 +82,18 @@ def _open_output(path):
         raise QGeomError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length 1-D columns as CSV rows of repr(float) values.
+def _write_csv(path, header: str, rows: int, chunk) -> None:
+    """Write `rows` CSV rows of repr(float) values under header.
 
-    Rows are formatted CSV_CHUNK_ROWS at a time, each chunk from its own
-    slices of the columns. A file of several chunks is formatted by forked
-    worker processes, each of which receives its chunk, and written in row
-    order, so its bytes do not depend on the number of workers.
+    Each command supplies its rows a chunk at a time, so no column is built
+    whole only to be written: chunk(s, e) returns the float columns of rows
+    s to e - 1. It is called in this process, CSV_CHUNK_ROWS rows at a time.
+    A file of several chunks is formatted by forked workers, each sent only
+    its chunk's arrays, and written in row order, so its bytes do not depend
+    on the number of workers.
     """
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    starts = range(0, len(columns[0]), CSV_CHUNK_ROWS)
-    chunks = ([c[s:s + CSV_CHUNK_ROWS] for c in columns] for s in starts)
+    starts = range(0, rows, CSV_CHUNK_ROWS)
+    chunks = (chunk(s, min(s + CSV_CHUNK_ROWS, rows)) for s in starts)
     workers = _csv_workers(len(starts))
     with _open_output(path) as fh:
         fh.write(header + "\n")
@@ -105,8 +106,8 @@ def _write_csv(path, header: str, columns) -> None:
             fh.writelines(pool.imap(_format_rows, chunks))
 
 
-def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> str:
-    """Serialize the run next to its first output; returns the manifest path."""
+def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> None:
+    """Serialize the run next to its first output."""
     skip = {"json", "func", "command"}
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in skip and v is not None}
@@ -121,7 +122,6 @@ def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> str:
     with _open_output(path) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return path
 
 
 def manifest_argv(manifest: dict) -> list[str]:
@@ -161,28 +161,29 @@ def _cmd_algebra(args, scale):
         return report, []
     if not args.dump_matrices:
         raise QGeomError("--dump-matrices: empty prefix")
-    # one float index grid and views of the real and imaginary parts, so
-    # the dumps hold no copies of their columns while they wait
-    row, col = np.indices((rep.dim, rep.dim), dtype=float).reshape(2, -1)
-    return report, [(f"{args.dump_matrices}_{name}.csv", "row,col,re,im",
-                     (row, col, mat.real.reshape(-1), mat.imag.reshape(-1)))
+    # the default binds each matrix; its .real and .imag are views, not copies
+    return report, [(f"{args.dump_matrices}_{name}.csv", "row,col,re,im", rep.dim ** 2,
+                     lambda s, e, flat=mat.reshape(-1): (
+                         *np.divmod(np.arange(s, e, dtype=float), rep.dim),
+                         flat.real[s:e], flat.imag[s:e]))
                     for name, mat in zip(("x1", "x2", "x3"), rep.components)]
 
 
 def _cmd_noise(args, scale):
-    series = noise.generate_timeseries(args.arm_length, args.rate,
-                                       args.duration, args.seed, scale)
+    x = noise.generate_timeseries(args.arm_length, args.rate,
+                                  args.duration, args.seed, scale).samples
     report = {
-        "samples": len(series.samples),
-        "rms_m": _fmt(float(np.sqrt(np.mean(series.samples ** 2)))),
+        "samples": len(x),
+        "rms_m": _fmt(float(np.sqrt(np.mean(x ** 2)))),
         "coherence_time_s": _fmt(noise.coherence_time(args.arm_length, scale)),
         "out": args.out,
     }
-    return report, [(args.out, "t_s,x_m", (series.times(), series.samples))]
+    return report, [(args.out, "t_s,x_m", len(x),
+                     lambda s, e: (np.arange(s, e) / args.rate, x[s:e]))]
 
 
 def _read_series_csv(path):
-    """(sample rate, samples) of a series CSV on a uniform time grid."""
+    """The series of a t_s,x_m CSV on a uniform time grid."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except OSError as exc:
@@ -201,21 +202,21 @@ def _read_series_csv(path):
     tol = max(1e-6 * step, 4.0 * np.spacing(np.abs(t).max()))
     if not steps.min() > 0.0 or max(step - steps.min(), steps.max() - step) > tol:
         raise QGeomError(f"{path}: times must increase in uniform steps")
-    return 1.0 / step, x
+    return noise.NoiseSeries(samples=x, sample_rate=1.0 / step)
 
 
 def _cmd_spectrum(args, scale):
     # the estimate does not read the arm length, but it is checked all the same
     noise.coherence_time(args.arm_length, scale)
-    rate, samples = _read_series_csv(args.input)
-    series = noise.NoiseSeries(samples=samples, sample_rate=rate)
+    series = _read_series_csv(args.input)
     est = noise.power_spectrum(series, args.segment_length, args.overlap_fraction)
     report = {
         "segments": est.segment_count,
         "df_hz": _fmt(est.frequencies[1] - est.frequencies[0]),
         "out": args.out,
     }
-    return report, [(args.out, "f_hz,psd_m2_per_hz", (est.frequencies, est.psd))]
+    return report, [(args.out, "f_hz,psd_m2_per_hz", len(est.psd),
+                     lambda s, e: (est.frequencies[s:e], est.psd[s:e]))]
 
 
 def _cmd_interferometer(args, scale):
@@ -251,7 +252,8 @@ def _cmd_interferometer(args, scale):
         psd = interferometer.cross_spectrum(cfg, other, freqs, scale)
     else:
         psd = interferometer.predict_output_psd(cfg, freqs, scale)
-    return report, [(args.out, "f_hz,psd_m2_per_hz", (freqs, psd))]
+    return report, [(args.out, "f_hz,psd_m2_per_hz", len(freqs),
+                     lambda s, e: (freqs[s:e], psd[s:e]))]
 
 
 def _cmd_bounds(args, scale):
@@ -280,7 +282,8 @@ def _cmd_bounds(args, scale):
                              _need_count("--grid-points", args.grid_points))
     curves = (masses, bounds.compton_size(masses, scale, reduced=reduced),
               bounds.schwarzschild_radius(masses, scale))
-    return report, [(args.out, "mass_kg,compton_m,schwarzschild_m", curves)]
+    return report, [(args.out, "mass_kg,compton_m,schwarzschild_m", len(masses),
+                     lambda s, e: [c[s:e] for c in curves])]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,10 +364,10 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code else _print_report(help_text.getvalue())
     try:
         report, files = args.func(args, derive_planck_scale())
-        for path, header, columns in files:
-            _write_csv(path, header, columns)
+        for file in files:
+            _write_csv(*file)
         if files:
-            write_manifest(args, [path for path, _, _ in files])
+            write_manifest(args, [file[0] for file in files])
     except (QGeomError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

@@ -48,7 +48,9 @@ def load_config(path) -> InterferometerConfig:
     """Read an apparatus definition from a key-value file.
 
     Keys: label, arm_length_m, position_m (three comma-separated numbers).
-    Lines starting with '#' are ignored.
+    Lines starting with '#' are ignored. Any other key, a repeated key and
+    a line without '=' are refused, so a misspelt key cannot leave its
+    default in place.
     """
     try:
         text = Path(path).read_text()
@@ -59,8 +61,15 @@ def load_config(path) -> InterferometerConfig:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise QGeomError(f"{path}: not a key = value line: {line!r}")
+        if key not in ("label", "arm_length_m", "position_m"):
+            raise QGeomError(f"{path}: unknown key {key!r}")
+        if key in fields:
+            raise QGeomError(f"{path}: repeated key {key!r}")
+        fields[key] = value.strip()
     try:
         return InterferometerConfig(
             arm_length=float(fields["arm_length_m"]),

@@ -37,9 +37,6 @@ class NoiseSeries:
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
 
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.samples)) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class SpectrumEstimate:

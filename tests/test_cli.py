@@ -97,8 +97,9 @@ RERUN_ARGV = {
 def test_noise_manifest_rerun_bitwise(command, tmp_path, monkeypatch):
     (tmp_path / "a.cfg").write_text("label = a\narm_length_m = 40\nposition_m = 0,0,0\n")
     (tmp_path / "b.cfg").write_text("label = b\narm_length_m = 40\nposition_m = 40,0,0\n")
-    series = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale())
-    cli._write_csv(tmp_path / "in.csv", "t_s,x_m", (series.times(), series.samples))
+    x = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale()).samples
+    t = np.arange(len(x)) / 2.5e7
+    cli._write_csv(tmp_path / "in.csv", "t_s,x_m", len(x), lambda s, e: (t[s:e], x[s:e]))
     inputs = {p.name for p in tmp_path.iterdir()}
     assert run_in(tmp_path, monkeypatch, RERUN_ARGV[command]) == 0
     written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in inputs}
@@ -279,6 +280,10 @@ BAD_INPUTS = {
     "nan.cfg": "label = b\narm_length_m = 40\nposition_m = nan,0,0\n",
     "inf.cfg": "label = b\narm_length_m = 40\nposition_m = inf,0,0\n",
     "big.cfg": "label = big\narm_length_m = 1e150\n",
+    # a misspelt key, a colon for '=' and a repeated key, each once silently dropped
+    "key.cfg": "label = b\narm_length_m = 40\nposition = 30, 0, 0\n",
+    "colon.cfg": "label = b\narm_length_m = 40\nposition_m: 30, 0, 0\n",
+    "twice.cfg": "label = b\narm_length_m = 40\nposition_m = 30,0,0\nposition_m = 0,0,0\n",
 }
 
 
@@ -355,6 +360,12 @@ BAD_INPUTS = {
     # power / floor overflows in the radiometer proxy
     ["interferometer", "--arm-length", "1e30", "--floor", "5e-324", "--band-lo", "0",
      "--band-hi", "1e16", "--integration-time", "1e-30"],
+    # config lines that cannot be read as the three known keys
+    ["interferometer", "--arm-length", "40", "--config-b", "key.cfg", "--n-freq", "3",
+     "--out", "c.csv"],
+    ["interferometer", "--arm-length", "40", "--config-b", "colon.cfg", "--n-freq", "3",
+     "--out", "c.csv"],
+    ["interferometer", "--config", "twice.cfg", "--n-freq", "3", "--out", "c.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -384,10 +395,10 @@ def test_series_csv_with_time_offset(tmp_path, monkeypatch):
     t = 1.3e9 + np.arange(n) / rate
     x = np.random.default_rng(3).normal(0.0, 1e-17, n)
     path = tmp_path / "gps.csv"
-    cli._write_csv(path, "t_s,x_m", (t, x))
-    read_rate, read_x = cli._read_series_csv(path)
-    assert read_rate == pytest.approx(rate, rel=1e-5)
-    assert np.array_equal(read_x, x)
+    cli._write_csv(path, "t_s,x_m", n, lambda s, e: (t[s:e], x[s:e]))
+    read = cli._read_series_csv(path)
+    assert read.sample_rate == pytest.approx(rate, rel=1e-5)
+    assert np.array_equal(read.samples, x)
     assert run_in(tmp_path, monkeypatch,
                   ["spectrum", "--input", "gps.csv", "--arm-length", "40",
                    "--segment-length", "256", "--out", "p.csv"]) == 0
@@ -523,6 +534,7 @@ def csv_kinds():
     # more rows than one chunk, so the series is written in several chunks
     series = noise.generate_timeseries(40.0, 2.5e7, 0.003, seed=5, scale=scale)
     assert len(series.samples) > cli.CSV_CHUNK_ROWS
+    times = np.arange(len(series.samples)) / 2.5e7
     spec = noise.power_spectrum(series, 4096)
     a = interferometer.InterferometerConfig(arm_length=40.0)
     b = interferometer.InterferometerConfig(arm_length=40.0, position=(30.0, 0.0, 0.0))
@@ -530,19 +542,18 @@ def csv_kinds():
     model = interferometer.predict_output_psd(a, freqs, scale)
     cross = interferometer.cross_spectrum(a, b, freqs, scale)
     masses = np.logspace(-30, 40, 1000)
-    compton = [bounds.compton_size(m, scale) for m in masses]
-    schwarzschild = [bounds.schwarzschild_radius(m, scale) for m in masses]
+    compton = np.array([bounds.compton_size(m, scale) for m in masses])
+    schwarzschild = np.array([bounds.schwarzschild_radius(m, scale) for m in masses])
     mat = algebra.build_representation(3.0, scale).components[0]
     dim = mat.shape[0]
-    row, col = np.indices(mat.shape).reshape(2, -1)
+    row, col = np.indices(mat.shape, dtype=float).reshape(2, -1)
     # a dump of x2 at spin 200 shaped like the CLI's: 160,801 rows in three chunks
     big = algebra.build_representation(200.0, scale).components[1]
     dump = (*np.indices(big.shape, dtype=float).reshape(2, -1), big.real.ravel(),
             big.imag.ravel())
     assert big.size > 2 * cli.CSV_CHUNK_ROWS
     return [
-        ("series", "t_s,x_m", (series.times(), series.samples),
-         zip(series.times(), series.samples)),
+        ("series", "t_s,x_m", (times, series.samples), zip(times, series.samples)),
         ("spectrum", "f_hz,psd_m2_per_hz", (spec.frequencies, spec.psd),
          zip(spec.frequencies, spec.psd)),
         ("model", "f_hz,psd_m2_per_hz", (freqs, model), zip(freqs, model)),
@@ -556,18 +567,43 @@ def csv_kinds():
     ]
 
 
+def cli_kinds():
+    """(argv, {file: reference text}) for files that the commands' own chunk
+    functions supply, against references built from whole arrays."""
+    scale = codata_scale()
+    # a wrong bound on the last chunk shows at exactly two chunks or one row past
+    for n in (2 * cli.CSV_CHUNK_ROWS, 2 * cli.CSV_CHUNK_ROWS + 1):
+        x = noise.generate_timeseries(40.0, 2.5e7, n / 2.5e7, 11, scale).samples
+        assert len(x) == n
+        yield (["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration",
+                repr(n / 2.5e7), "--seed", "11", "--out", f"s{n}.csv"],
+               {f"s{n}.csv": reference_csv("t_s,x_m", zip(np.arange(n) / 2.5e7, x))})
+    mats = algebra.build_representation(200.0, scale).components
+    row, col = np.indices(mats[0].shape, dtype=float).reshape(2, -1)
+    yield (["algebra", "--spin", "200", "--dump-matrices", "m"],
+           {f"m_{name}.csv": reference_csv("row,col,re,im", zip(
+               row, col, mat.real.ravel(), mat.imag.ravel()))
+            for name, mat in zip(("x1", "x2", "x3"), mats)})
+
+
 @pytest.mark.parametrize("max_workers", [1, 2])
 def test_write_csv_bytes_match_reference(max_workers, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CSV_MAX_WORKERS", max_workers)
     for name, header, columns, rows in csv_kinds():
         path = tmp_path / f"{name}.csv"
-        cli._write_csv(path, header, columns)
-        assert path.read_text() == reference_csv(header, rows), name
+        cli._write_csv(path, header, len(columns[0]),
+                       lambda s, e: [c[s:e] for c in columns])
+        # compared as lists of lines, which pytest diffs quickly when they differ
+        assert path.read_text().split("\n") == reference_csv(header, rows).split("\n"), name
+    for argv, references in cli_kinds():
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        for name, text in references.items():
+            assert (tmp_path / name).read_text().split("\n") == text.split("\n"), name
 
 
 def _write_long_csv(path):
     column = np.arange(cli.CSV_CHUNK_ROWS + 10.0)
-    cli._write_csv(path, "a,b", (column, -column))
+    cli._write_csv(path, "a,b", len(column), lambda s, e: (column[s:e], -column[s:e]))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks")
