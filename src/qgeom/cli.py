@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,10 @@ def _cmd_noise(args, scale):
 def _read_series_csv(path):
     """The series of a t_s,x_m CSV on a uniform time grid."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            # a file of no rows is refused below, in one error line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
     except OSError as exc:
         raise QGeomError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except ValueError as exc:

@@ -276,6 +276,9 @@ BAD_INPUTS = {
     "nan.csv": "t_s,x_m\n0.0,1e-17\n4e-08,nan\n8e-08,3e-17\n",
     "gap.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17\n1.2e-07,3e-17\n",
     "ok.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17\n8e-08,3e-17\n",
+    # no rows, on which np.loadtxt warns before the refusal
+    "hdr.csv": "t_s,x_m\n",
+    "empty.csv": "",
     "forty.cfg": "label = a\narm_length_m = forty\n",
     "nan.cfg": "label = b\narm_length_m = 40\nposition_m = nan,0,0\n",
     "inf.cfg": "label = b\narm_length_m = 40\nposition_m = inf,0,0\n",
@@ -366,6 +369,9 @@ BAD_INPUTS = {
     ["interferometer", "--arm-length", "40", "--config-b", "colon.cfg", "--n-freq", "3",
      "--out", "c.csv"],
     ["interferometer", "--config", "twice.cfg", "--n-freq", "3", "--out", "c.csv"],
+    # a series CSV of no rows: a header alone, and an empty file
+    ["spectrum", "--input", "hdr.csv", "--arm-length", "40", "--out", "p.csv"],
+    ["spectrum", "--input", "empty.csv", "--arm-length", "40", "--out", "p.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -511,6 +517,22 @@ def test_unwritable_stdout_exit_1(sink, unbuffered, tmp_path):
         assert proc.returncode == 1, argv
         assert proc.stderr.startswith("error: cannot write the report")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("warn", ["default", "error"])
+@pytest.mark.parametrize("name", ["hdr.csv", "empty.csv"])
+def test_series_csv_without_rows_one_error_line(name, warn, tmp_path):
+    # pytest captures warnings, so only a fresh process shows what the user sees
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / name).write_text(BAD_INPUTS[name])
+    proc = subprocess.run([sys.executable, "-W", warn, "-m", "qgeom.cli", "spectrum",
+                           "--input", name, "--arm-length", "40", "--out", "p.csv"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {name}: expected t_s,x_m rows\n"
 
 
 def test_detectability_radiometer_products_overflow(capsys):

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qgeom import noise
 from qgeom.errors import QGeomError
@@ -210,6 +212,69 @@ def test_welch_matches_scipy(series40, segment_length, overlap):
     np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0.0)
     step = segment_length - noverlap
     assert est.segment_count == 1 + (300_001 - segment_length) // step
+
+
+def welch_reference(series, segment_length, overlap_fraction):
+    # the loop that transformed a whole _WELCH_BLOCK at once, as the tiled
+    # loop must reproduce it bit for bit
+    step = segment_length - int(segment_length * overlap_fraction)
+    segments = sliding_window_view(series.samples, segment_length)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    power = np.zeros(segment_length // 2 + 1)
+    for start in range(0, len(segments), 256):
+        block = segments[start:start + 256]
+        spec = np.fft.rfft((block - block.mean(axis=1, keepdims=True)) * window, axis=1)
+        power += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
+    psd = power / (len(segments) * series.sample_rate * np.sum(window ** 2))
+    psd[1:-1] *= 2.0
+    return psd, len(segments)
+
+
+def welch_cases(segment_length, overlap, counts):
+    # a series of each segment count, with a partial segment left over
+    step = segment_length - int(segment_length * overlap)
+    for count in sorted(c for c in set(counts) if c > 0):
+        n = segment_length + count * step - 1
+        samples = np.random.default_rng(count).standard_normal(n)
+        yield count, NoiseSeries(samples=samples, sample_rate=2.5e7)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("segment_length", [2, 16, 256, 4096, 65536])
+def test_welch_tiles_bitwise(segment_length, overlap):
+    tile = max(1, min(noise._WELCH_BLOCK, noise._WELCH_TILE // segment_length))
+    counts = [1, tile - 1, tile, tile + 1, 255, 256, 257, 513, 1219]
+    # the reference holds a whole block, 128 MB a temporary at 65536 samples
+    # per segment: there only the counts of up to 16 segments run
+    counts = [c for c in counts if min(c, 256) * segment_length <= 2 ** 20]
+    for count, series in welch_cases(segment_length, overlap, counts):
+        est = power_spectrum(series, segment_length, overlap)
+        psd, segment_count = welch_reference(series, segment_length, overlap)
+        assert est.segment_count == segment_count == count
+        assert np.array_equal(est.psd, psd), (count, segment_length, overlap)
+
+
+@pytest.mark.parametrize("tile", [1, 48, 2 ** 10, 2 ** 20])
+def test_welch_bits_do_not_depend_on_tile(tile, monkeypatch):
+    # one segment per tile too, across block boundaries
+    monkeypatch.setattr(noise, "_WELCH_TILE", tile)
+    for segment_length in (16, 256):
+        for count, series in welch_cases(segment_length, 0.5, [1, 255, 257, 513]):
+            psd, _ = welch_reference(series, segment_length, 0.5)
+            assert np.array_equal(power_spectrum(series, segment_length).psd, psd)
+
+
+def test_welch_memory_bounded():
+    # the untiled loop peaked at 25.4 MB here, four block-sized temporaries
+    x = np.random.default_rng(11).standard_normal(2_500_000)
+    series = NoiseSeries(samples=x, sample_rate=2.5e7)
+    tracemalloc.start()
+    try:
+        power_spectrum(series, segment_length=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_analytic_psd_values(scale):
