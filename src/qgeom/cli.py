@@ -8,10 +8,10 @@ the files it wants written; `run` alone writes those files, then one
 JSON manifest next to the first, and only then prints the report. So a
 run that ends in an error prints no report and writes no output or
 manifest, unless a write itself fails partway (say, an unwritable second
-dump path). The manifest records the command and its options;
-re-running the argv `[command] + options` rebuilt from it reproduces
-the outputs bitwise (for seeded runs) since all numerics are
-deterministic.
+dump path). The manifest records the command and its options. The argv
+rebuilt from it, one `--flag=value` token per option so that a value may
+start with '-', reruns the outputs bitwise: the argv and the files it
+names are a run's only inputs, and all numerics are deterministic.
 
 Exit codes: 0 success, 1 domain error, 2 usage error; an abbreviated
 option is a usage error. An output file that cannot be opened, written
@@ -126,7 +126,7 @@ def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> None:
 
 
 def manifest_argv(manifest: dict) -> list[str]:
-    """Rebuild the argv of a recorded run (output paths included)."""
+    """Rebuild a recorded run's argv, one --flag=value token per option."""
     argv = [manifest["command"]]
     for key, value in manifest["parameters"].items():
         flag = "--" + key.replace("_", "-")
@@ -134,7 +134,7 @@ def manifest_argv(manifest: dict) -> list[str]:
             if value:
                 argv.append(flag)
         else:
-            argv.extend([flag, repr(value) if isinstance(value, float) else str(value)])
+            argv.append(f"{flag}={value}")
     return argv
 
 
@@ -228,10 +228,8 @@ def _cmd_interferometer(args, scale):
         raise QGeomError("--config-b needs --out")
     if args.config is not None:
         cfg = interferometer.load_config(args.config)
-    elif args.arm_length is not None:
-        cfg = interferometer.InterferometerConfig(arm_length=args.arm_length)
     else:
-        raise QGeomError("need --config or --arm-length")
+        cfg = interferometer.InterferometerConfig(arm_length=args.arm_length)
     report = {
         "label": cfg.label,
         "arm_length_m": _fmt(cfg.arm_length),
@@ -312,9 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arm-length", type=float, required=True, help="L in m")
     p.add_argument("--rate", type=float, required=True, help="sample rate Hz")
     p.add_argument("--duration", type=float, required=True, help="seconds")
-    # argparse converts a string default only when --seed is absent, so a
-    # bad QGEOM_SEED is a usage error of noise alone
-    p.add_argument("--seed", type=int, default=os.environ.get("QGEOM_SEED", "0"))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="series CSV path")
     p.set_defaults(func=_cmd_noise)
 
@@ -329,9 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interferometer", allow_abbrev=False,
                        help="model spectra and detectability")
-    p.add_argument("--config", help="apparatus key-value file")
+    apparatus = p.add_mutually_exclusive_group(required=True)
+    apparatus.add_argument("--config", help="apparatus key-value file")
+    apparatus.add_argument("--arm-length", type=float, help="inline apparatus, m")
     p.add_argument("--config-b", help="second apparatus, for a cross-spectrum")
-    p.add_argument("--arm-length", type=float, help="inline apparatus, m")
     p.add_argument("--f-min", type=float, default=0.0)
     p.add_argument("--f-max", type=float, default=2.0e7)
     p.add_argument("--n-freq", type=int, default=2001)

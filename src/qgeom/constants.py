@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import positive
+from .errors import QGeomError, positive
 
 # CODATA 2018 recommended values
 HBAR_CODATA = 1.054571817e-34  # J s (exact by SI redefinition, truncated)
@@ -49,20 +49,30 @@ def derive_planck_scale(hbar: float = HBAR_CODATA,
     Raises
     ------
     QGeomError
-        If any input is non-positive or non-finite.
+        If any input, or any derived quantity, is non-positive or
+        non-finite; the latter message names the three constants.
     """
     for name, value in (("hbar", hbar), ("G", G), ("c", c)):
         positive(name, value)
-    planck_length = math.sqrt(hbar * G / c ** 3)
-    return PlanckScale(
-        hbar=hbar,
-        G=G,
-        c=c,
-        planck_length=planck_length,
-        planck_time=planck_length / c,
-        planck_mass=math.sqrt(hbar * c / G),
-        lam=planck_length / SQRT_4PI,
-    )
+    constants = f"hbar={hbar!r}, G={G!r}, c={c!r}"
+    try:
+        planck_length = math.sqrt(hbar * G / c ** 3)
+    except (OverflowError, ZeroDivisionError):
+        # c ** 3 overflows, or underflows to 0
+        raise QGeomError(f"c ** 3 of {constants} must be positive and finite") from None
+    planck_mass = math.sqrt(hbar * c / G)
+    if not 0.0 < planck_mass < math.inf:
+        # hbar c / G leaves the float range before its root does (G = 1e300)
+        planck_mass = hbar / (planck_length * c)
+    derived = {
+        "planck_length": planck_length,
+        "planck_time": planck_length / c,
+        "planck_mass": planck_mass,
+        "lam": planck_length / SQRT_4PI,
+    }
+    for name, value in derived.items():
+        positive(f"{name} of {constants}", value)
+    return PlanckScale(hbar=hbar, G=G, c=c, **derived)
 
 
 def codata_scale() -> PlanckScale:

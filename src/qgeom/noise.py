@@ -103,7 +103,7 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
 
     The coherence window is the light round trip 2L/c, realized as
     round(rate * 2L/c) / rate since the series averages whole samples (see
-    the module docstring). The sample rate must exceed 2c/L (at least 4
+    the module docstring). The sample rate must be at least 2c/L (4
     samples per window) and the duration must cover at least 10 windows,
     so a series has at least 40 samples.
     The seed is a 128-bit Philox key. Deterministic given all inputs.
@@ -116,7 +116,7 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     if sample_rate * tau_c < 4.0:
         raise QGeomError(
             f"sample rate {sample_rate} gives under 4 samples per coherence "
-            f"window {tau_c:.3e} s; need rate > {4.0 / tau_c:.3e} Hz")
+            f"window {tau_c:.3e} s; need rate >= {4.0 / tau_c:.3e} Hz")
     if duration < 10.0 * tau_c:
         raise QGeomError(
             f"duration {duration} s under 10 coherence windows ({10 * tau_c:.3e} s)")

@@ -90,6 +90,9 @@ RERUN_ARGV = {
     "interferometer": ["interferometer", "--config", "a.cfg", "--config-b", "b.cfg",
                        "--n-freq", "11", "--out", "cross.csv"],
     "bounds": ["bounds", "--grid-points", "20", "--out", "curves.csv"],
+    # an output path that argparse would take for an option, were it a
+    # separate token
+    "bounds-dash": ["bounds", "--grid-points", "20", "--out=-c.csv"],
 }
 
 
@@ -129,23 +132,33 @@ def test_manifest_with_constants_is_usage_error(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv.manifest.json"]
 
 
-def test_env_seed_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QGEOM_SEED", "99")
-    argv = ["noise", "--arm-length", "40", "--rate", "2.5e7",
-            "--duration", "0.005", "--out", "series.csv"]
-    assert run_in(tmp_path, monkeypatch, argv) == 0
-    manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
-    assert manifest["seed"] == 99
-    # a non-integer value is a usage error of noise alone, and only
-    # where --seed is absent
-    monkeypatch.setenv("QGEOM_SEED", "abc")
-    capsys.readouterr()
-    assert cli.run(["algebra", "--spin", "1"]) == 0
-    assert cli.run(argv + ["--seed", "5"]) == 0
-    capsys.readouterr()
-    assert cli.run(argv) == 2
-    err = capsys.readouterr().err
-    assert "--seed: invalid int value: 'abc'" in err and "Traceback" not in err
+def test_manifest_with_both_apparatus_is_usage_error(tmp_path, monkeypatch, capsys):
+    # an older manifest could record --config with --arm-length, which
+    # dropped the arm length; such a rerun now names two apparatus
+    (tmp_path / "a.cfg").write_text("label = a\narm_length_m = 40\n")
+    path = tmp_path / "x.csv.manifest.json"
+    path.write_text(json.dumps({
+        "command": "interferometer",
+        "parameters": {"arm_length": 4000.0, "config": "a.cfg", "out": "x.csv"},
+        "seed": None, "tool_version": "0.1.0", "output_paths": ["x.csv"]}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.rerun_from_manifest(path) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("usage:") == 1
+    assert "not allowed with argument" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "x.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("env_seed", ["99", "abc"])
+def test_seed_default_ignores_environment(env_seed, tmp_path, monkeypatch):
+    # the argv is a run's only input: without --seed, noise runs seed 0
+    argv = ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.005"]
+    assert run_in(tmp_path, monkeypatch, argv + ["--seed", "0", "--out", "s0.csv"]) == 0
+    monkeypatch.setenv("QGEOM_SEED", env_seed)
+    assert cli.run(argv + ["--out", "s.csv"]) == 0
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s0.csv").read_bytes()
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["seed"] == 0
 
 
 def test_spectrum_pipeline(tmp_path, monkeypatch):
@@ -471,6 +484,9 @@ def test_python_m_entry_point():
     ["interferometer", "--arm", "40"],
     ["noise", "--arm-length", "40", "--rate", "2.5e7", "--dur", "0.001", "--out", "s.csv"],
     ["--js", "bounds"],
+    # exactly one apparatus: both, or none, is a usage error
+    ["interferometer", "--config", "a.cfg", "--arm-length", "40"],
+    ["interferometer", "--config-b", "b.cfg", "--out", "x.csv"],
 ])
 def test_constant_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     # the CLI runs on the CODATA constants alone, and takes no abbreviation

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,3 +53,24 @@ def test_invalid_constants_rejected(bad):
     (name,) = bad
     with pytest.raises(QGeomError, match=f"^{name} must be positive and finite"):
         derive_planck_scale(**{"hbar": 1.0, "G": 1.0, "c": 1.0, **bad})
+
+
+@pytest.mark.parametrize("constants", [
+    {"c": 1e200},                        # c ** 3 overflows
+    {"c": 1e-200},                       # c ** 3 underflows to 0
+    {"hbar": 1e300, "G": 1e300},         # planck_length inf
+    {"hbar": 1e-300, "G": 1e-300},       # planck_length 0
+    {"hbar": 1e300, "G": 1e-300, "c": 1e100},  # planck_mass inf
+])
+def test_planck_scale_out_of_float_range_rejected(constants):
+    constants = {"hbar": 1.0, "G": 1.0, "c": 1.0, **constants}
+    names = ", ".join(f"{k}={v!r}" for k, v in constants.items())
+    with pytest.raises(QGeomError, match=f"of {re.escape(names)} must be positive and finite"):
+        derive_planck_scale(**constants)
+
+
+def test_planck_mass_beyond_its_square():
+    # hbar c / G underflows to 0 at G = 1e300, but the mass itself is a float
+    s = derive_planck_scale(G=1e300)
+    assert s.planck_mass == pytest.approx(math.sqrt(s.hbar * s.c) / math.sqrt(s.G), rel=1e-12)
+    assert s.planck_mass > 0.0

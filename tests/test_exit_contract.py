@@ -70,6 +70,12 @@ INPUTS = {
     "big.cfg": "label = big\narm_length_m = 1e150\n",
 }
 
+APPARATUS = {"--config": st.sampled_from(["a.cfg", "big.cfg"]),
+             "--arm-length": floats(40.0, 5.677e16)}
+# interferometer takes exactly one apparatus: most draws give one, so that
+# runs reach the command, and a few give both or neither, a usage error
+APPARATUS_DRAWS = [("--config",), ("--arm-length",)] * 4 + [tuple(APPARATUS), ()]
+
 COMMANDS = {
     "algebra": st.fixed_dictionaries(
         {"--spin": floats(0.5, 3.0, 1.25, 2500.0)},
@@ -83,16 +89,16 @@ COMMANDS = {
          "--arm-length": floats(40.0), "--out": st.just("p.csv")},
         optional={"--segment-length": counts(16, 3),
                   "--overlap-fraction": floats(0.5, 0.99)}),
-    "interferometer": st.fixed_dictionaries(
-        {},
-        optional={"--config": st.sampled_from(["a.cfg", "big.cfg"]),
-                  "--config-b": st.sampled_from(["b.cfg", "big.cfg"]),
-                  "--arm-length": floats(40.0, 5.677e16),
-                  "--f-min": floats(1e6), "--f-max": floats(2e7),
-                  "--n-freq": counts(11), "--out": st.just("i.csv"),
-                  "--floor": floats(1e-41, 1.2e16), "--band-lo": floats(1e6, 40.0),
-                  "--band-hi": floats(5e6, 3.6e292),
-                  "--integration-time": floats(3600.0, 1e236)}),
+    "interferometer": st.sampled_from(APPARATUS_DRAWS).flatmap(
+        lambda flags: st.fixed_dictionaries(
+            {flag: APPARATUS[flag] for flag in flags},
+            optional={"--config-b": st.sampled_from(["b.cfg", "big.cfg"]),
+                      "--f-min": floats(1e6), "--f-max": floats(2e7),
+                      "--n-freq": counts(11), "--out": st.just("i.csv"),
+                      "--floor": floats(1e-41, 1.2e16),
+                      "--band-lo": floats(1e6, 40.0),
+                      "--band-hi": floats(5e6, 3.6e292),
+                      "--integration-time": floats(3600.0, 1e236)})),
     "bounds": st.fixed_dictionaries(
         {},
         optional={"--mass": floats(1.0, 1.989e30), "--size": floats(1.0),
