@@ -47,15 +47,10 @@ class SpectrumEstimate:
     segment_count: int
 
 
-# Welch segments summed as one block, in row order, before the block's sum is
-# added to the total: this grouping fixes the bits of the PSD. The block is
-# never held whole (at 4096 samples per segment it would take 25 MB)
-_WELCH_BLOCK = 256
-
-# Values tapered and transformed at once within a block: with 2**16 float64
-# the tile, its spectrum and its power rows take about 1.3 MB, which stays in
-# a 2 MB L2 and bounds power_spectrum's working memory at any series length;
-# 2**15 and 2**17 timed the same within run-to-run spread
+# Values tapered and transformed at once: the tile, its spectrum and its power
+# rows take about 1.3 MB at 4096 samples per segment, in a 2 MB L2, and peak
+# at 3.3 MB at 2 (tracemalloc), whatever the series length; 2**15 and 2**17
+# timed the same within run-to-run spread
 _WELCH_TILE = 2 ** 16
 
 # Lag count below which autocorrelation takes one dot product per lag instead
@@ -178,10 +173,10 @@ def power_spectrum(series: NoiseSeries, segment_length: int,
     two, at least 2 and no longer than the series; overlap_fraction in
     [0, 1) defaults to 50%.
 
-    The segments are transformed in tiles of at most _WELCH_TILE values,
-    or of one segment where a segment is longer. The squared spectra of a
-    _WELCH_BLOCK are summed in segment order whatever the tile size, so the
-    bits of the PSD do not depend on it.
+    The periodograms are summed in segment order, each added to one running
+    sum, so the bits of the PSD do not depend on how the segments are
+    grouped. They are transformed in tiles of at most _WELCH_TILE values,
+    or of one segment where a segment is longer.
     """
     n = len(series.samples)
     if segment_length < 2 or segment_length & (segment_length - 1):
@@ -195,27 +190,22 @@ def power_spectrum(series: NoiseSeries, segment_length: int,
     segments = sliding_window_view(series.samples, segment_length)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
     n_freq = segment_length // 2 + 1
-    rows = max(1, min(_WELCH_BLOCK, _WELCH_TILE // segment_length, len(segments)))
+    rows = max(1, min(_WELCH_TILE // segment_length, len(segments)))
     tapered = np.empty((rows, segment_length))
-    # row 0 carries the block's running sum, so one sum over rows 0..k adds
-    # the squared spectra in the order of a sum over the whole block
-    power_rows = np.empty((rows + 1, n_freq))
-    power = np.zeros(n_freq)
-    for start in range(0, len(segments), _WELCH_BLOCK):
-        stop = min(start + _WELCH_BLOCK, len(segments))
-        power_rows[0] = 0.0
-        for lo in range(start, stop, rows):
-            tile = segments[lo:min(lo + rows, stop)]
-            k = len(tile)
-            np.subtract(tile, tile.mean(axis=1, keepdims=True), out=tapered[:k])
-            tapered[:k] *= window
-            # re and im interleaved, squared in place: re^2 + im^2 per bin
-            parts = np.fft.rfft(tapered[:k], axis=1).view(np.float64)
-            np.square(parts, out=parts)
-            np.add(parts[:, 0::2], parts[:, 1::2], out=power_rows[1:k + 1])
-            power_rows[0] = power_rows[:k + 1].sum(axis=0)
-        power += power_rows[0]
-    psd = power / (len(segments) * series.sample_rate * np.sum(window ** 2))
+    # row 0 carries the running sum, so one sum over rows 0..k adds the
+    # tile's squared spectra to it one segment at a time, in segment order
+    power_rows = np.zeros((rows + 1, n_freq))
+    for lo in range(0, len(segments), rows):
+        tile = segments[lo:lo + rows]
+        k = len(tile)
+        np.subtract(tile, tile.mean(axis=1, keepdims=True), out=tapered[:k])
+        tapered[:k] *= window
+        # re and im interleaved, squared in place: re^2 + im^2 per bin
+        parts = np.fft.rfft(tapered[:k], axis=1).view(np.float64)
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power_rows[1:k + 1])
+        power_rows[0] = power_rows[:k + 1].sum(axis=0)
+    psd = power_rows[0] / (len(segments) * series.sample_rate * np.sum(window ** 2))
     psd[1:-1] *= 2.0
     freqs = np.fft.rfftfreq(segment_length, 1.0 / series.sample_rate)
     return SpectrumEstimate(frequencies=freqs, psd=psd, segment_count=len(segments))

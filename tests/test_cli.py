@@ -93,16 +93,24 @@ RERUN_ARGV = {
     # an output path that argparse would take for an option, were it a
     # separate token
     "bounds-dash": ["bounds", "--grid-points", "20", "--out=-c.csv"],
+    # 780 Welch segments, past the 256 up to which version 0.2.0 wrote the same bits
+    "spectrum-long": ["spectrum", "--input", "in.csv", "--arm-length", "40",
+                      "--segment-length", "64", "--out", "psd.csv"],
 }
+
+
+def write_input_series(path):
+    # 25,000 samples of the 40 m process at 2.5e7 Hz, as t_s,x_m rows
+    x = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale()).samples
+    t = np.arange(len(x)) / 2.5e7
+    cli._write_csv(path, "t_s,x_m", len(x), lambda s, e: (t[s:e], x[s:e]))
 
 
 @pytest.mark.parametrize("command", RERUN_ARGV)
 def test_noise_manifest_rerun_bitwise(command, tmp_path, monkeypatch):
     (tmp_path / "a.cfg").write_text("label = a\narm_length_m = 40\nposition_m = 0,0,0\n")
     (tmp_path / "b.cfg").write_text("label = b\narm_length_m = 40\nposition_m = 40,0,0\n")
-    x = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale()).samples
-    t = np.arange(len(x)) / 2.5e7
-    cli._write_csv(tmp_path / "in.csv", "t_s,x_m", len(x), lambda s, e: (t[s:e], x[s:e]))
+    write_input_series(tmp_path / "in.csv")
     inputs = {p.name for p in tmp_path.iterdir()}
     assert run_in(tmp_path, monkeypatch, RERUN_ARGV[command]) == 0
     written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in inputs}
@@ -175,6 +183,25 @@ def test_spectrum_pipeline(tmp_path, monkeypatch):
     df = f[1] - f[0]
     scale = codata_scale()
     assert np.sum(psd) * df == pytest.approx(scale.lam * 40, rel=0.10)
+
+
+def test_spectrum_rows_are_the_segment_fold(tmp_path, monkeypatch, capsys):
+    # past 256 segments the PSD is still the periodograms added to one
+    # running sum in segment order, written as repr of each value
+    write_input_series(tmp_path / "in.csv")
+    assert run_in(tmp_path, monkeypatch, RERUN_ARGV["spectrum-long"]) == 0
+    assert "segments 780\n" in capsys.readouterr().out
+    series = cli._read_series_csv(tmp_path / "in.csv")
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(64) / 64)
+    power = np.zeros(33)
+    for segment in np.lib.stride_tricks.sliding_window_view(series.samples, 64)[::32]:
+        spec = np.fft.rfft((segment - segment.mean()) * window)
+        power = power + (spec.real ** 2 + spec.imag ** 2)
+    psd = power / (780 * series.sample_rate * np.sum(window ** 2))
+    psd[1:-1] *= 2.0
+    freqs = np.fft.rfftfreq(64, 1.0 / series.sample_rate)
+    rows = [f"{f!r},{p!r}" for f, p in zip(freqs.tolist(), psd.tolist())]
+    assert (tmp_path / "psd.csv").read_text().splitlines() == ["f_hz,psd_m2_per_hz"] + rows
 
 
 def test_interferometer_spectrum_and_detectability(tmp_path, monkeypatch, capsys):

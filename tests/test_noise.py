@@ -215,16 +215,15 @@ def test_welch_matches_scipy(series40, segment_length, overlap):
 
 
 def welch_reference(series, segment_length, overlap_fraction):
-    # the loop that transformed a whole _WELCH_BLOCK at once, as the tiled
-    # loop must reproduce it bit for bit
+    # this loop defines the bits of the PSD: one segment at a time, its
+    # periodogram added to one running sum in segment order
     step = segment_length - int(segment_length * overlap_fraction)
     segments = sliding_window_view(series.samples, segment_length)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
     power = np.zeros(segment_length // 2 + 1)
-    for start in range(0, len(segments), 256):
-        block = segments[start:start + 256]
-        spec = np.fft.rfft((block - block.mean(axis=1, keepdims=True)) * window, axis=1)
-        power += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
+    for segment in segments:
+        spec = np.fft.rfft((segment - segment.mean()) * window)
+        power = power + (spec.real ** 2 + spec.imag ** 2)
     psd = power / (len(segments) * series.sample_rate * np.sum(window ** 2))
     psd[1:-1] *= 2.0
     return psd, len(segments)
@@ -242,10 +241,10 @@ def welch_cases(segment_length, overlap, counts):
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("segment_length", [2, 16, 256, 4096, 65536])
 def test_welch_tiles_bitwise(segment_length, overlap):
-    tile = max(1, min(noise._WELCH_BLOCK, noise._WELCH_TILE // segment_length))
+    tile = max(1, noise._WELCH_TILE // segment_length)
     counts = [1, tile - 1, tile, tile + 1, 255, 256, 257, 513, 1219]
-    # the reference holds a whole block, 128 MB a temporary at 65536 samples
-    # per segment: there only the counts of up to 16 segments run
+    # to bound the run time, at 65536 samples per segment only the counts of
+    # up to 16 segments run; at the shorter lengths every count runs
     counts = [c for c in counts if min(c, 256) * segment_length <= 2 ** 20]
     for count, series in welch_cases(segment_length, overlap, counts):
         est = power_spectrum(series, segment_length, overlap)
@@ -256,7 +255,7 @@ def test_welch_tiles_bitwise(segment_length, overlap):
 
 @pytest.mark.parametrize("tile", [1, 48, 2 ** 10, 2 ** 20])
 def test_welch_bits_do_not_depend_on_tile(tile, monkeypatch):
-    # one segment per tile too, across block boundaries
+    # one segment per tile too, and tiles that do not divide the count
     monkeypatch.setattr(noise, "_WELCH_TILE", tile)
     for segment_length in (16, 256):
         for count, series in welch_cases(segment_length, 0.5, [1, 255, 257, 513]):
