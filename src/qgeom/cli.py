@@ -199,14 +199,18 @@ def _read_series_csv(path):
     if not np.isfinite(data).all():
         raise QGeomError(f"{path}: non-finite time or sample")
     t, x = data[:, 0], data[:, 1]
-    steps = np.diff(t)
-    step = (t[-1] - t[0]) / (len(t) - 1)
-    # a time value is rounded to a few ulps of its magnitude, which for a
-    # large time offset exceeds 1e-6 of the step
-    tol = max(1e-6 * step, 4.0 * np.spacing(np.abs(t).max()))
-    if not steps.min() > 0.0 or max(step - steps.min(), steps.max() - step) > tol:
-        raise QGeomError(f"{path}: times must increase in uniform steps")
-    return noise.NoiseSeries(samples=x, sample_rate=1.0 / step)
+    # a span of times that overflows gives the rate 0, and a subnormal step
+    # the rate inf: the series refuses both, so they pass here unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(t)
+        step = (t[-1] - t[0]) / (len(t) - 1)
+        # a time value is rounded to a few ulps of its magnitude, which for a
+        # large time offset exceeds 1e-6 of the step
+        tol = max(1e-6 * step, 4.0 * np.spacing(np.abs(t).max()))
+        if not steps.min() > 0.0 or max(step - steps.min(), steps.max() - step) > tol:
+            raise QGeomError(f"{path}: times must increase in uniform steps")
+        rate = float(1.0 / step)
+    return noise.NoiseSeries(samples=x, sample_rate=rate)
 
 
 def _cmd_spectrum(args, scale):

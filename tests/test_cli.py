@@ -327,6 +327,13 @@ BAD_INPUTS = {
     "key.cfg": "label = b\narm_length_m = 40\nposition = 30, 0, 0\n",
     "colon.cfg": "label = b\narm_length_m = 40\nposition_m: 30, 0, 0\n",
     "twice.cfg": "label = b\narm_length_m = 40\nposition_m = 30,0,0\nposition_m = 0,0,0\n",
+    # a subnormal time step, whose rate is inf, and a time span that
+    # overflows, whose rate is 0
+    "tiny.csv": "t_s,x_m\n0.0,1.0\n5e-324,2.0\n1e-323,0.5\n1.5e-323,1.0\n",
+    "wide.csv": "t_s,x_m\n-1e308,1.0\n1e308,2.0\n",
+    # 64 samples of +-1e200 at 1 MHz, whose squared spectra overflow
+    "huge.csv": "t_s,x_m\n" + "".join(f"{k / 1e6!r},{(-1) ** k * 1e200!r}\n"
+                                       for k in range(64)),
 }
 
 
@@ -412,6 +419,13 @@ BAD_INPUTS = {
     # a series CSV of no rows: a header alone, and an empty file
     ["spectrum", "--input", "hdr.csv", "--arm-length", "40", "--out", "p.csv"],
     ["spectrum", "--input", "empty.csv", "--arm-length", "40", "--out", "p.csv"],
+    # a sample rate that is not positive and finite, and a Welch PSD that is not finite
+    ["spectrum", "--input", "tiny.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "tp.csv"],
+    ["spectrum", "--input", "wide.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "p.csv"],
+    ["spectrum", "--input", "huge.csv", "--arm-length", "40", "--segment-length", "16",
+     "--out", "p.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -576,6 +590,30 @@ def test_series_csv_without_rows_one_error_line(name, warn, tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {name}: expected t_s,x_m rows\n"
+
+
+# the series CSVs that float64 cannot take through Welch: segment length, message
+OUT_OF_FLOAT_RANGE = {
+    "tiny.csv": ("2", "sample rate must be positive and finite, got inf"),
+    "wide.csv": ("2", "sample rate must be positive and finite, got 0.0"),
+    "huge.csv": ("16", "Welch PSD of this series is not finite in float64"),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_FLOAT_RANGE)
+def test_spectrum_out_of_float_range_one_error_line(name, tmp_path):
+    # every warning an error: the refusal is the only line, with no file
+    segment_length, message = OUT_OF_FLOAT_RANGE[name]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / name).write_text(BAD_INPUTS[name])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qgeom.cli", "spectrum",
+                           "--input", name, "--arm-length", "40", "--segment-length",
+                           segment_length, "--out", "p.csv"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_detectability_radiometer_products_overflow(capsys):

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,95 @@ def test_determinism(scale):
     np.testing.assert_array_equal(a.samples, b.samples)
     c = generate_timeseries(L40, 2.5e7, 0.01, seed=43, scale=scale)
     assert not np.array_equal(a.samples, c.samples)
+
+
+@pytest.mark.parametrize("rate, duration", [
+    # a window of 4 samples over 2**21 of them, then windows of 7, 32 and 267
+    (1.5e7, 2 ** 21 / 1.5e7), (2.5e7, 2e-3), (1.2e8, 2e-3), (1e9, 2e-3)])
+def test_running_sum_against_exact_windows(rate, duration, scale):
+    # each sample is its window's sum of white draws, correctly rounded by
+    # math.fsum, scaled; the running sum's error is measured in series sigmas
+    series = generate_timeseries(L40, rate, duration, seed=5, scale=scale)
+    n, m = len(series.samples), round(rate * coherence_time(L40, scale))
+    assert n >= 40_000 and (m == 4) == (n >= 2 ** 21)
+    white = np.random.Generator(np.random.Philox(key=5)).standard_normal(n + m - 1)
+    picked = np.unique(np.r_[0:m, np.linspace(0, n - 1, 2001).astype(int), n - m:n])
+    exact = np.array([math.fsum(white[i:i + m].tolist()) for i in picked])
+    exact *= math.sqrt(scale.lam * L40 / m)
+    error = np.abs(series.samples[picked] - exact).max()
+    assert error <= 1e-12 * math.sqrt(scale.lam * L40), error
+
+
+# forced OpenBLAS kernels stand in for other CPUs; each needs these host
+# features, in numpy's names
+OPENBLAS_KERNELS = {"Prescott": ["SSE3"], "Nehalem": ["SSSE3", "SSE41", "SSE42"],
+                    "Sandybridge": ["AVX"], "Haswell": ["AVX2", "FMA3"]}
+
+# at L = 40 m, windows of 7, 12, 32 and 267 samples
+WINDOW_RATES = (2.5e7, 4.5e7, 1.2e8, 1e9)
+
+# prints the sha256 of the series at each of those rates
+HASH_SCRIPT = f"""
+import hashlib
+from qgeom.constants import codata_scale
+from qgeom.noise import generate_timeseries
+for rate in {WINDOW_RATES}:
+    x = generate_timeseries(40.0, rate, 2e-3, 3, codata_scale()).samples
+    print(hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def numpy_cpu():
+    """numpy's dispatched optimizations and the host's features, as numpy reads them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_dispatch__, umath.__cpu_features__
+
+
+def run_python(script, **env):
+    # a fresh interpreter, where the environment can still choose numpy's kernels
+    src = str(Path(noise.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**base, **env}, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def default_hashes():
+    proc = run_python(HASH_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("setting", [*OPENBLAS_KERNELS, "AVX-512 off"])
+def test_series_bits_do_not_depend_on_cpu(setting, default_hashes, scale):
+    # a BLAS call in synthesis would take these bits from the CPU's kernel,
+    # as a dot product does from 12 samples on
+    tau = coherence_time(L40, scale)
+    assert [round(r * tau) for r in WINDOW_RATES] == [7, 12, 32, 267]
+    dispatch, features = numpy_cpu()
+    if setting in OPENBLAS_KERNELS:
+        missing = [f for f in OPENBLAS_KERNELS[setting] if not features.get(f)]
+        if missing:
+            pytest.skip(f"OPENBLAS_CORETYPE={setting}: the host lacks {' '.join(missing)}")
+        proc = run_python(HASH_SCRIPT, OPENBLAS_CORETYPE=setting)
+    else:
+        avx512 = [f for f in dispatch
+                  if (f.startswith("AVX512") or f == "X86_V4") and features.get(f)]
+        if not avx512:
+            pytest.skip("AVX-512 off: numpy dispatches no AVX-512 path on this host")
+        disabled = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+        refused = run_python("import numpy", **disabled)
+        if refused.returncode:
+            pytest.skip(f"AVX-512 off: numpy refuses {disabled}: "
+                        f"{refused.stderr.strip().splitlines()[-1]}")
+        proc = run_python(HASH_SCRIPT, **disabled)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == default_hashes
 
 
 def test_stream_seeds_distinct():
@@ -261,6 +354,21 @@ def test_welch_bits_do_not_depend_on_tile(tile, monkeypatch):
         for count, series in welch_cases(segment_length, 0.5, [1, 255, 257, 513]):
             psd, _ = welch_reference(series, segment_length, 0.5)
             assert np.array_equal(power_spectrum(series, segment_length).psd, psd)
+
+
+@pytest.mark.filterwarnings("error")
+def test_welch_refuses_what_float64_cannot_hold():
+    # squared spectra of +-1e200 overflow, and so does the density at the
+    # smallest rate; neither warns
+    alternating = NoiseSeries(samples=np.tile([1e200, -1e200], 32), sample_rate=1e6)
+    slowest = NoiseSeries(samples=np.random.default_rng(4).standard_normal(64),
+                          sample_rate=5e-324)
+    for series in (alternating, slowest):
+        with pytest.raises(QGeomError, match="^Welch PSD of this series is not finite"):
+            power_spectrum(series, segment_length=16)
+    for rate in (math.inf, 0.0, -1e6, math.nan):
+        with pytest.raises(QGeomError, match="^sample rate must be positive and finite"):
+            power_spectrum(NoiseSeries(samples=np.ones(64), sample_rate=rate), 16)
 
 
 def test_welch_memory_bounded():
