@@ -14,11 +14,11 @@ start with '-', reruns the outputs bitwise: the argv and the files it
 names are a run's only inputs, and all numerics are deterministic.
 
 Exit codes: 0 success, 1 domain error, 2 usage error; an abbreviated
-option is a usage error. An output file that cannot be opened, written
-or closed (a missing directory, a full disk), a report or `--help` text
-that cannot be printed (a closed stdout pipe, a full device; the files
-written before it stay) and an array too large for memory also end with
-exit 1 and an `error:` line, never a traceback.
+option is a usage error. A file that cannot be opened, read, decoded,
+written or closed (a missing input or directory, a full disk), a report
+or `--help` text that cannot be printed (a closed stdout pipe, a full
+device; the files written before it stay) and an array too large for
+memory also end with exit 1 and an `error:` line, never a traceback.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ import os
 import sys
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__, algebra, bounds, interferometer, noise
 from .constants import derive_planck_scale
-from .errors import MAX_ARRAY_LEN, QGeomError
+from .errors import MAX_ARRAY_LEN, QGeomError, opened
 
 CSV_CHUNK_ROWS = 1 << 16
 # the most worker processes that format one CSV: the largest count
@@ -72,17 +71,6 @@ def _csv_workers(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), CSV_MAX_WORKERS, chunks)
 
 
-@contextlib.contextmanager
-def _open_output(path):
-    """Open path for writing; an OSError from open, write or close becomes
-    a QGeomError naming the path."""
-    try:
-        with open(path, "w") as fh:
-            yield fh
-    except OSError as exc:
-        raise QGeomError(f"{path}: cannot write: {exc.strerror or exc}") from None
-
-
 def _write_csv(path, header: str, rows: int, chunk) -> None:
     """Write `rows` CSV rows of repr(float) values under header.
 
@@ -96,7 +84,7 @@ def _write_csv(path, header: str, rows: int, chunk) -> None:
     starts = range(0, rows, CSV_CHUNK_ROWS)
     chunks = (chunk(s, min(s + CSV_CHUNK_ROWS, rows)) for s in starts)
     workers = _csv_workers(len(starts))
-    with _open_output(path) as fh:
+    with opened(path, "w") as fh:
         fh.write(header + "\n")
         if workers == 1:
             fh.writelines(map(_format_rows, chunks))
@@ -120,7 +108,7 @@ def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> None:
         "output_paths": output_paths,
     }
     path = str(output_paths[0]) + ".manifest.json"
-    with _open_output(path) as fh:
+    with opened(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
@@ -184,16 +172,19 @@ def _cmd_noise(args, scale):
 
 
 def _read_series_csv(path):
-    """The series of a t_s,x_m CSV on a uniform time grid."""
-    try:
-        with warnings.catch_warnings():
-            # a file of no rows is refused below, in one error line
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+    """The series of a CSV whose first line is t_s,x_m, on a uniform time grid."""
+    with opened(path) as fh, warnings.catch_warnings():
+        header = fh.readline()
+        if header and header.rstrip("\n") != "t_s,x_m":
+            raise QGeomError(f"{path}: first line is not t_s,x_m")
+        # an empty file, or one of no rows, is refused below in one error line
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
             data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except OSError as exc:
-        raise QGeomError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise QGeomError(f"{path}: not a t_s,x_m CSV: {exc}") from None
+        except UnicodeDecodeError:
+            raise  # text that is not UTF-8, which `opened` reports
+        except ValueError as exc:
+            raise QGeomError(f"{path}: not a t_s,x_m CSV: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise QGeomError(f"{path}: expected t_s,x_m rows")
     if not np.isfinite(data).all():
@@ -395,7 +386,8 @@ def _print_report(text: str) -> int:
 
 def rerun_from_manifest(path) -> int:
     """Re-execute a recorded run exactly as serialized."""
-    manifest = json.loads(Path(path).read_text())
+    with opened(path) as fh:
+        manifest = json.load(fh)
     return run(manifest_argv(manifest))
 
 

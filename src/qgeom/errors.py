@@ -1,9 +1,10 @@
-"""The one domain error and the one argument rule of the toolkit.
+"""The one domain error, the one argument rule and the one file rule of the toolkit.
 
 Every refusal raises QGeomError, a ValueError whose message names the bad
-argument; no subclass tells one refusal from another, the message does.
+argument or file; no subclass tells one refusal from another, the message does.
 """
 
+import contextlib
 import math
 import sys
 
@@ -21,10 +22,20 @@ class QGeomError(ValueError):
 def positive(name: str, value) -> None:
     """Raise QGeomError unless value, a number or an array, is positive and
     finite (NaN is neither); an array is reported by its first entry that is not."""
-    if np.ndim(value):
-        bad = np.extract(~((0.0 < value) & (value < math.inf)), value)
-        if not bad.size:
-            return
-        value = bad[0].item()
-    if not 0.0 < value < math.inf:
-        raise QGeomError(f"{name} must be positive and finite, got {value!r}")
+    values = np.asarray(value)
+    bad = values[~((0.0 < values) & (values < math.inf))]
+    if bad.size:
+        raise QGeomError(f"{name} must be positive and finite, got {bad[0].item()!r}")
+
+
+@contextlib.contextmanager
+def opened(path, mode: str = "r"):
+    """Open path as UTF-8 text; an OSError from open, read, write or close,
+    and text that is not UTF-8, become one QGeomError naming the path."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        verb = "read" if mode == "r" else "write"
+        raise QGeomError(
+            f"{path}: cannot {verb}: {getattr(exc, 'strerror', None) or exc}") from None

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .constants import PlanckScale
-from .errors import QGeomError, positive
+from .errors import QGeomError, opened, positive
 from .noise import analytic_psd, band_power
 
 SNR_DETECT = 5.0
@@ -52,10 +51,8 @@ def load_config(path) -> InterferometerConfig:
     a line without '=' are refused, so a misspelt key cannot leave its
     default in place.
     """
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise QGeomError(f"{path}: cannot read config: {exc}") from None
+    with opened(path) as fh:
+        text = fh.read()
     fields: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()

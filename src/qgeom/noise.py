@@ -119,9 +119,8 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     """
     seed = _check_seed("seed", seed, 128)
     tau_c = coherence_time(L, scale)
-    if not (math.isfinite(sample_rate) and math.isfinite(duration)):
-        raise QGeomError(f"sample rate and duration must be finite, "
-                         f"got {sample_rate!r} and {duration!r}")
+    positive("sample rate", sample_rate)
+    positive("duration", duration)
     if sample_rate * tau_c < 4.0:
         raise QGeomError(
             f"sample rate {sample_rate} gives under 4 samples per coherence "
@@ -129,7 +128,7 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     if duration < 10.0 * tau_c:
         raise QGeomError(
             f"duration {duration} s under 10 coherence windows ({10 * tau_c:.3e} s)")
-    if not sample_rate * duration <= MAX_ARRAY_LEN:
+    if sample_rate * duration > MAX_ARRAY_LEN:
         raise QGeomError(
             f"sample rate {sample_rate!r} Hz times duration {duration!r} s exceeds "
             f"the largest array, {MAX_ARRAY_LEN} samples")

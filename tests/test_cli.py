@@ -12,6 +12,7 @@ import pytest
 
 from qgeom import algebra, bounds, cli, interferometer, noise
 from qgeom.constants import codata_scale
+from qgeom.errors import QGeomError
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -334,6 +335,10 @@ BAD_INPUTS = {
     # 64 samples of +-1e200 at 1 MHz, whose squared spectra overflow
     "huge.csv": "t_s,x_m\n" + "".join(f"{k / 1e6!r},{(-1) ** k * 1e200!r}\n"
                                        for k in range(64)),
+    # 64 rows at 1 MHz without the header, once read 63 rows short, and a
+    # header in other units, once read as seconds and metres
+    "nohdr.csv": "".join(f"{k / 1e6!r},{k * 1e-17!r}\n" for k in range(64)),
+    "units.csv": "t_ms,x_nm\n" + "".join(f"{k / 1e3!r},{k * 1e-8!r}\n" for k in range(64)),
 }
 
 
@@ -425,6 +430,11 @@ BAD_INPUTS = {
     ["spectrum", "--input", "wide.csv", "--arm-length", "40", "--segment-length", "2",
      "--out", "p.csv"],
     ["spectrum", "--input", "huge.csv", "--arm-length", "40", "--segment-length", "16",
+     "--out", "p.csv"],
+    # a series CSV whose first line is not t_s,x_m
+    ["spectrum", "--input", "nohdr.csv", "--arm-length", "40", "--segment-length", "32",
+     "--out", "p.csv"],
+    ["spectrum", "--input", "units.csv", "--arm-length", "40", "--segment-length", "32",
      "--out", "p.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
@@ -590,6 +600,64 @@ def test_series_csv_without_rows_one_error_line(name, warn, tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {name}: expected t_s,x_m rows\n"
+
+
+def test_series_csv_without_header_one_error_line(tmp_path):
+    # every warning an error: the refusal is the only line, with no file
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "nohdr.csv").write_text(BAD_INPUTS["nohdr.csv"])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qgeom.cli", "spectrum",
+                           "--input", "nohdr.csv", "--arm-length", "40", "--segment-length",
+                           "32", "--out", "p.csv"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: nohdr.csv: first line is not t_s,x_m\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["nohdr.csv"]
+
+
+def test_series_csv_with_crlf_lines(tmp_path):
+    # a file written with CRLF line endings reads as the same series
+    (tmp_path / "lf.csv").write_text(BAD_INPUTS["ok.csv"])
+    (tmp_path / "crlf.csv").write_bytes(BAD_INPUTS["ok.csv"].replace("\n", "\r\n").encode())
+    lf, crlf = (cli._read_series_csv(tmp_path / name) for name in ("lf.csv", "crlf.csv"))
+    assert np.array_equal(lf.samples, crlf.samples) and lf.sample_rate == crlf.sample_rate
+
+
+# an input path that cannot be read as UTF-8 text, made at the given path
+UNREADABLE = {
+    "missing": lambda path: None,
+    "directory": Path.mkdir,
+    "not-utf8": lambda path: path.write_bytes(b"t_s,x_m\n0.0,1e-17\n\xe9,2e-17\n"),
+    # past the reader's first buffer, where np.loadtxt meets it
+    "not-utf8-late": lambda path: path.write_bytes(
+        b"t_s,x_m\n" + b"0.0,1e-17\n" * 2000 + b"\xe9,2e-17\n"),
+}
+# each option that names an input file, as the argv that reads it last
+INPUT_OPTIONS = {
+    "--input": ["spectrum", "--arm-length", "40", "--out", "p.csv", "--input"],
+    "--config": ["interferometer", "--out", "p.csv", "--config"],
+    "--config-b": ["interferometer", "--arm-length", "40", "--out", "p.csv", "--config-b"],
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+@pytest.mark.parametrize("option", INPUT_OPTIONS)
+def test_unreadable_input_one_error_line(option, kind, tmp_path, monkeypatch, capsys):
+    UNREADABLE[kind](tmp_path / "in")
+    inputs = sorted(tmp_path.iterdir())
+    assert run_in(tmp_path, monkeypatch, INPUT_OPTIONS[option] + ["in"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: in: cannot read: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_rerun_of_missing_manifest_is_domain_error(tmp_path):
+    with pytest.raises(QGeomError, match=r"missing\.json: cannot read: "):
+        cli.rerun_from_manifest(tmp_path / "missing.json")
 
 
 # the series CSVs that float64 cannot take through Welch: segment length, message
