@@ -3,7 +3,8 @@
 Subcommands: algebra, noise, spectrum, interferometer, bounds. Every
 command runs on the CODATA 2018 constants, the defaults of
 `constants.derive_planck_scale`; only the library takes an injected
-scale. Each command validates and computes, and returns its report and
+scale. Each command validates and computes, and returns its report (its
+values, each float printed as its repr, in text and JSON alike) and
 the files it wants written; `run` alone writes those files, then one
 JSON manifest next to the first, and only then prints the report. So a
 run that ends in an error prints no report and writes no output or
@@ -11,7 +12,9 @@ manifest, unless a write itself fails partway (say, an unwritable second
 dump path). The manifest records the command and its options. The argv
 rebuilt from it, one `--flag=value` token per option so that a value may
 start with '-', reruns the outputs bitwise: the argv and the files it
-names are a run's only inputs, and all numerics are deterministic.
+names are a run's only inputs, and all numerics are deterministic. A
+number that starts with '-', such as -1e5 or -inf, is read as the value
+of the long option before it.
 
 Exit codes: 0 success, 1 domain error, 2 usage error; an abbreviated
 option is a usage error. A file that cannot be opened, read, decoded,
@@ -43,11 +46,6 @@ CSV_CHUNK_ROWS = 1 << 16
 # the most worker processes that format one CSV: the largest count
 # measured, on a 2-CPU host (see CHANGES.md)
 CSV_MAX_WORKERS = 2
-
-
-def _fmt(x) -> str:
-    # repr of a float is the shortest digit string that round-trips
-    return repr(float(x))
 
 
 def _format_rows(columns) -> str:
@@ -139,13 +137,13 @@ def _cmd_algebra(args, scale):
     report = {
         "spin": args.spin,
         "dim": rep.dim,
-        "lambda_m": _fmt(scale.lam),
-        "x3_min_m": _fmt(rep.lam * rep.m[-1]),
-        "x3_max_m": _fmt(rep.lam * rep.m[0]),
-        "radial_m": _fmt(algebra.radial_observable(rep)),
+        "lambda_m": scale.lam,
+        "x3_min_m": rep.lam * rep.m[-1],
+        "x3_max_m": rep.lam * rep.m[0],
+        "radial_m": algebra.radial_observable(rep),
     }
     if args.check:
-        report["commutator_residual"] = _fmt(algebra.commutator_residual(rep))
+        report["commutator_residual"] = algebra.commutator_residual(rep)
     if args.dump_matrices is None:
         return report, []
     if not args.dump_matrices:
@@ -163,8 +161,8 @@ def _cmd_noise(args, scale):
                                   args.duration, args.seed, scale).samples
     report = {
         "samples": len(x),
-        "rms_m": _fmt(float(np.sqrt(np.mean(x ** 2)))),
-        "coherence_time_s": _fmt(noise.coherence_time(args.arm_length, scale)),
+        "rms_m": np.sqrt(np.mean(x ** 2)),
+        "coherence_time_s": noise.coherence_time(args.arm_length, scale),
         "out": args.out,
     }
     return report, [(args.out, "t_s,x_m", len(x),
@@ -211,7 +209,7 @@ def _cmd_spectrum(args, scale):
     est = noise.power_spectrum(series, args.segment_length, args.overlap_fraction)
     report = {
         "segments": est.segment_count,
-        "df_hz": _fmt(est.frequencies[1] - est.frequencies[0]),
+        "df_hz": est.frequencies[1] - est.frequencies[0],
         "out": args.out,
     }
     return report, [(args.out, "f_hz,psd_m2_per_hz", len(est.psd),
@@ -227,16 +225,16 @@ def _cmd_interferometer(args, scale):
         cfg = interferometer.InterferometerConfig(arm_length=args.arm_length)
     report = {
         "label": cfg.label,
-        "arm_length_m": _fmt(cfg.arm_length),
-        "rms_m": _fmt(interferometer.predict_rms(cfg, scale)),
-        "knee_hz": _fmt(1.0 / noise.coherence_time(cfg.arm_length, scale)),
+        "arm_length_m": cfg.arm_length,
+        "rms_m": interferometer.predict_rms(cfg, scale),
+        "knee_hz": 1.0 / noise.coherence_time(cfg.arm_length, scale),
     }
     if args.floor is not None:
         det = interferometer.detectability(
             cfg, args.floor, (args.band_lo, args.band_hi),
             args.integration_time, scale)
         report.update({
-            "snr_proxy": _fmt(det.snr_proxy),
+            "snr_proxy": det.snr_proxy,
             "verdict": det.verdict,
         })
     if args.out is None:
@@ -258,14 +256,14 @@ def _cmd_bounds(args, scale):
         raise QGeomError("--size needs --mass")
     reduced = args.compton_convention == "reduced"
     report = {
-        "planck_length_m": _fmt(scale.planck_length),
-        "planck_mass_kg": _fmt(scale.planck_mass),
-        "intersection_m": _fmt(bounds.intersection_scale(scale, reduced=reduced)),
+        "planck_length_m": scale.planck_length,
+        "planck_mass_kg": scale.planck_mass,
+        "intersection_m": bounds.intersection_scale(scale, reduced=reduced),
     }
     if args.mass is not None:
-        report["mass_kg"] = _fmt(args.mass)
-        report["compton_m"] = _fmt(bounds.compton_size(args.mass, scale, reduced=reduced))
-        report["schwarzschild_m"] = _fmt(bounds.schwarzschild_radius(args.mass, scale))
+        report["mass_kg"] = args.mass
+        report["compton_m"] = bounds.compton_size(args.mass, scale, reduced=reduced)
+        report["schwarzschild_m"] = bounds.schwarzschild_radius(args.mass, scale)
         if args.size is not None:
             report["regime"] = bounds.classify(args.mass, args.size, scale,
                                                reduced=reduced)
@@ -348,13 +346,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each number that starts with '-' joined to the long option
+    before it as --flag=value, since argparse reads -1e5 or -inf as an option."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if token.startswith("-") and flag.startswith("--") and "=" not in flag:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{flag}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def run(argv: list[str]) -> int:
     """Run one command: compute, write its files and manifest, then report."""
     parser = _build_parser()
     help_text = io.StringIO()
     try:
         with contextlib.redirect_stdout(help_text):
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         # --help exits 0, and its text is printed like a report
         return int(exc.code) if exc.code else _print_report(help_text.getvalue())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import QGeomError, positive
+from .errors import positive
 
 # CODATA 2018 recommended values
 HBAR_CODATA = 1.054571817e-34  # J s (exact by SI redefinition, truncated)
@@ -38,13 +38,28 @@ class PlanckScale:
     lam: float
 
 
+def _root_of_powers(values, powers) -> float:
+    """sqrt of the product of value ** power, from the mantissas and binary
+    exponents of the values, so that no intermediate leaves the float range;
+    0.0 below the smallest float and inf above the largest."""
+    parts = [math.frexp(v) for v in values]
+    e = sum(p * exp for p, (_, exp) in zip(powers, parts))
+    m = math.prod(mant ** p for p, (mant, _) in zip(powers, parts)) * 2.0 ** (e % 2)
+    try:
+        return math.ldexp(math.sqrt(m), e // 2)
+    except OverflowError:
+        return math.inf
+
+
 def derive_planck_scale(hbar: float = HBAR_CODATA,
                         G: float = G_CODATA,
                         c: float = C_CODATA) -> PlanckScale:
     """Derive the Planck scale from (hbar, G, c).
 
     planck_length = sqrt(hbar G / c^3), planck_time = planck_length / c,
-    planck_mass = sqrt(hbar c / G), lam = planck_length / sqrt(4 pi).
+    planck_mass = sqrt(hbar c / G), lam = planck_length / sqrt(4 pi). A
+    length or mass whose square leaves the float range is taken from the
+    constants' mantissas and exponents, so hbar = G = 1e300 is accepted.
 
     Raises
     ------
@@ -58,12 +73,14 @@ def derive_planck_scale(hbar: float = HBAR_CODATA,
     try:
         planck_length = math.sqrt(hbar * G / c ** 3)
     except (OverflowError, ZeroDivisionError):
-        # c ** 3 overflows, or underflows to 0
-        raise QGeomError(f"c ** 3 of {constants} must be positive and finite") from None
+        planck_length = 0.0  # c ** 3 overflows, or underflows to 0
+    if not 0.0 < planck_length < math.inf:
+        # hbar G / c^3 leaves the float range before its root does (hbar = G = 1e300)
+        planck_length = _root_of_powers((hbar, G, c), (1, 1, -3))
     planck_mass = math.sqrt(hbar * c / G)
     if not 0.0 < planck_mass < math.inf:
         # hbar c / G leaves the float range before its root does (G = 1e300)
-        planck_mass = hbar / (planck_length * c)
+        planck_mass = _root_of_powers((hbar, G, c), (1, -1, 1))
     derived = {
         "planck_length": planck_length,
         "planck_time": planck_length / c,

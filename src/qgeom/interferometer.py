@@ -106,17 +106,19 @@ def overlap_factor(a: InterferometerConfig, b: InterferometerConfig) -> float:
 
 def cross_spectrum(a: InterferometerConfig, b: InterferometerConfig,
                    frequencies, scale: PlanckScale) -> np.ndarray:
-    """Cross-PSD gamma(d) * sqrt(S_a * S_b) (m^2/Hz); the auto-PSD at d = 0."""
+    """Cross-PSD gamma(d) * sqrt(S_a * S_b) (m^2/Hz); the auto-PSD at d = 0.
+
+    Where S_a * S_b overflows (two arms of about 1e150 m), the root is
+    taken as sqrt(S_a) * sqrt(S_b), which is finite.
+    """
     f = _check_grid(frequencies)
     sa = analytic_psd(a.arm_length, f, scale)
     sb = analytic_psd(b.arm_length, f, scale)
     with np.errstate(over="ignore"):
-        product = sa * sb
-    if not np.isfinite(product).all():
-        raise QGeomError(
-            f"product of the PSDs of arm lengths {a.arm_length!r} and "
-            f"{b.arm_length!r} m overflows float64 on this frequency grid")
-    return overlap_factor(a, b) * np.sqrt(product)
+        root = np.sqrt(sa * sb)
+    big = np.isinf(root)
+    root[big] = np.sqrt(sa[big]) * np.sqrt(sb[big])
+    return overlap_factor(a, b) * root
 
 
 def detectability(config: InterferometerConfig, floor: float,

@@ -409,9 +409,8 @@ BAD_INPUTS = {
     ["interferometer", "--arm-length", "40", "--n-freq", "1152921504606846976",
      "--out", "f.csv"],
     ["bounds", "--grid-points", "9223372036854775808", "--out", "c.csv"],
-    # lam L 2L/c, and the product of two such PSDs, overflow
+    # lam L 2L/c overflows
     ["interferometer", "--arm-length", "1e300", "--out", "x.csv"],
-    ["interferometer", "--config", "big.cfg", "--config-b", "big.cfg", "--out", "x.csv"],
     # power / floor overflows in the radiometer proxy
     ["interferometer", "--arm-length", "1e30", "--floor", "5e-324", "--band-lo", "0",
      "--band-hi", "1e16", "--integration-time", "1e-30"],
@@ -436,6 +435,11 @@ BAD_INPUTS = {
      "--out", "p.csv"],
     ["spectrum", "--input", "units.csv", "--arm-length", "40", "--segment-length", "32",
      "--out", "p.csv"],
+    # negative values that argparse alone would read as options
+    ["noise", "--arm-length", "40", "--rate", "-1e5", "--duration", "0.005", "--out", "s.csv"],
+    ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "-inf", "--out", "s.csv"],
+    ["noise", "--arm-length", "-inf", "--rate", "2.5e7", "--duration", "0.005", "--out", "s.csv"],
+    ["interferometer", "--arm-length", "40", "--f-min", "-1e5", "--out", "x.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -445,6 +449,68 @@ def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert out == ""  # a refused run prints no report
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_INPUTS)
+
+
+def test_cross_spectrum_of_overflowing_psds_exit_0(tmp_path, monkeypatch, capsys):
+    # S_a S_b of two co-located 1e150 m arms overflows, but its root is a float
+    (tmp_path / "big.cfg").write_text(BAD_INPUTS["big.cfg"])
+    assert run_in(tmp_path, monkeypatch, ["interferometer", "--config", "big.cfg",
+                                          "--config-b", "big.cfg", "--out", "x.csv"]) == 0
+    assert cli.run(["interferometer", "--config", "big.cfg", "--out", "auto.csv"]) == 0
+    cross = np.loadtxt(tmp_path / "x.csv", delimiter=",", skiprows=1)
+    auto = np.loadtxt(tmp_path / "auto.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(cross).all()
+    np.testing.assert_array_equal(cross[:, 0], auto[:, 0])
+    assert np.all(np.abs(cross[:, 1] - auto[:, 1]) <= 2 * np.spacing(auto[:, 1]))
+
+
+@pytest.mark.parametrize("value", ["-1e5", "-inf", "-.5e3", "-1"])
+def test_negative_value_read_alike_in_both_spellings(value, tmp_path, monkeypatch, capsys):
+    argv = ["noise", "--arm-length", "40", "--duration", "0.005", "--out", "s.csv"]
+    errors = []
+    for rate in (["--rate", value], [f"--rate={value}"]):
+        assert run_in(tmp_path, monkeypatch, argv + rate) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: sample rate must be positive and finite")
+    # a token that is not a number stays an option
+    assert cli.run(argv[:-1] + ["-s.csv", "--rate", "1e5"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("setup, argv", [
+    ([], ["algebra", "--spin", "2", "--check"]),
+    ([], ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1e-5",
+          "--out", "s.csv"]),
+    (["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1e-5", "--out", "s.csv"],
+     ["spectrum", "--input", "s.csv", "--arm-length", "40", "--segment-length", "16",
+      "--out", "p.csv"]),
+    ([], ["interferometer", "--arm-length", "40", "--floor", "1e-41"]),
+    ([], ["bounds", "--mass", "1.989e30", "--size", "1"]),
+])
+def test_json_report_holds_numbers(setup, argv, tmp_path, monkeypatch, capsys):
+    # each number of the text report is a JSON number of the same digits
+    if setup:
+        assert run_in(tmp_path, monkeypatch, setup) == 0
+        capsys.readouterr()
+    assert run_in(tmp_path, monkeypatch, argv) == 0
+    text = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert cli.run(["--json", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == list(text)
+    numbers = 0
+    for key, value in doc.items():
+        try:
+            number = float(text[key])
+        except ValueError:
+            assert value == text[key]
+            continue
+        assert type(value) in (int, float) and value == number, key
+        assert text[key] == repr(value), key
+        numbers += 1
+    assert numbers >= 2
 
 
 def test_unwritable_manifest_exit_1(tmp_path, monkeypatch, capsys):

@@ -58,9 +58,10 @@ def test_invalid_constants_rejected(bad):
 @pytest.mark.parametrize("constants", [
     {"c": 1e200},                        # c ** 3 overflows
     {"c": 1e-200},                       # c ** 3 underflows to 0
-    {"hbar": 1e300, "G": 1e300},         # planck_length inf
-    {"hbar": 1e-300, "G": 1e-300},       # planck_length 0
+    {"hbar": 1e308, "G": 1e308, "c": 1e-300},  # planck_length inf
+    {"hbar": 1e-308, "G": 1e-308, "c": 1e300},  # planck_length 0
     {"hbar": 1e300, "G": 1e-300, "c": 1e100},  # planck_mass inf
+    {"hbar": 5e-324, "G": 1e301, "c": 1e300},  # planck_length 0, planck_mass beyond its square
 ])
 def test_planck_scale_out_of_float_range_rejected(constants):
     constants = {"hbar": 1.0, "G": 1.0, "c": 1.0, **constants}
@@ -74,3 +75,21 @@ def test_planck_mass_beyond_its_square():
     s = derive_planck_scale(G=1e300)
     assert s.planck_mass == pytest.approx(math.sqrt(s.hbar * s.c) / math.sqrt(s.G), rel=1e-12)
     assert s.planck_mass > 0.0
+
+
+@pytest.mark.parametrize("constants", [
+    {"hbar": 1e300, "G": 1e300, "c": 1.0},    # hbar G overflows
+    {"hbar": 1e-300, "G": 1e-300, "c": 1.0},  # hbar G underflows to 0
+])
+def test_planck_length_beyond_its_square(constants):
+    # the length itself, 1e300 m or 1e-300 m, is a float
+    mpmath = pytest.importorskip("mpmath")
+    s = derive_planck_scale(**constants)
+    with mpmath.workdps(50):
+        hbar, G, c = (mpmath.mpf(constants[k]) for k in ("hbar", "G", "c"))
+        length = mpmath.sqrt(hbar * G / c ** 3)
+        expected = {"planck_length": length, "planck_time": length / c,
+                    "planck_mass": mpmath.sqrt(hbar * c / G),
+                    "lam": length / mpmath.sqrt(4 * mpmath.pi)}
+        for name, value in expected.items():
+            assert abs(getattr(s, name) / value - 1) < 1e-13, name

@@ -131,6 +131,27 @@ def test_cross_spectrum_symmetry(scale, cfg40):
                                   itf.cross_spectrum(b, cfg40, f, scale))
 
 
+def test_cross_spectrum_bitwise_where_product_finite(scale):
+    # sqrt(S_a S_b) wherever the product is a float, and a finite root where it overflows
+    rng = np.random.default_rng(24)
+    f = np.linspace(0.0, 2e7, 201)
+    lo = math.log10(scale.planck_length)
+    arms = np.maximum(scale.planck_length, 10.0 ** rng.uniform(lo, 150.0, size=(60, 2)))
+    overflowed = 0
+    for la, lb in [*arms.tolist(), (1e150, 1e150), (1e150, 3e149)]:
+        a = itf.InterferometerConfig(la)
+        b = itf.InterferometerConfig(lb, position=(rng.uniform(0.0, 2.0 * min(la, lb)), 0, 0))
+        with np.errstate(over="ignore", under="ignore"):
+            product = analytic_psd(la, f, scale) * analytic_psd(lb, f, scale)
+        finite = np.isfinite(product)
+        overflowed += not finite.all()
+        cross = itf.cross_spectrum(a, b, f, scale)
+        assert np.isfinite(cross).all()
+        np.testing.assert_array_equal(
+            cross[finite], (itf.overlap_factor(a, b) * np.sqrt(product))[finite])
+    assert overflowed >= 2
+
+
 @given(st.floats(min_value=0, max_value=200), st.floats(min_value=0, max_value=200))
 def test_overlap_factor_monotone(d1, d2):
     a = itf.InterferometerConfig(40.0)
