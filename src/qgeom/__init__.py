@@ -6,7 +6,7 @@ transverse jitter in interferometers, and the Planck-scale size/mass
 boundary diagram. SI units throughout.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .constants import PlanckScale, codata_scale, derive_planck_scale
 

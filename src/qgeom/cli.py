@@ -401,10 +401,17 @@ def _print_report(text: str) -> int:
 
 
 def rerun_from_manifest(path) -> int:
-    """Re-execute a recorded run exactly as serialized."""
+    """Re-execute a recorded run exactly as serialized; any other file is a QGeomError."""
     with opened(path) as fh:
-        manifest = json.load(fh)
-    return run(manifest_argv(manifest))
+        text = fh.read()
+    try:
+        manifest = json.loads(text)
+    except (ValueError, RecursionError):
+        manifest = None
+    match manifest:
+        case {"command": str(), "parameters": dict()}:
+            return run(manifest_argv(manifest))
+    raise QGeomError(f"{path}: not a manifest: no string command and object parameters")
 
 
 def main() -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import positive
 
 # CODATA 2018 recommended values
@@ -38,17 +40,19 @@ class PlanckScale:
     lam: float
 
 
-def _root_of_powers(values, powers) -> float:
-    """sqrt of the product of value ** power, from the mantissas and binary
-    exponents of the values, so that no intermediate leaves the float range;
-    0.0 below the smallest float and inf above the largest."""
-    parts = [math.frexp(v) for v in values]
-    e = sum(p * exp for p, (_, exp) in zip(powers, parts))
-    m = math.prod(mant ** p for p, (mant, _) in zip(powers, parts)) * 2.0 ** (e % 2)
-    try:
-        return math.ldexp(math.sqrt(m), e // 2)
-    except OverflowError:
-        return math.inf
+def _root_of_powers(values, powers):
+    """sqrt of the product of value ** power, elementwise, from the values'
+    mantissas and binary exponents: no intermediate leaves the float range,
+    and where the direct form's products are normal the bits are its own (up
+    to libm pow's last bit); 0.0 below the smallest float, inf above the largest."""
+    num, den, e = 1.0, 1.0, 0
+    for value, p in zip(values, powers):
+        mant, exp = np.frexp(value)
+        e += p * exp
+        mant = mant if abs(p) == 1 else mant ** abs(p)  # a scalar: libm pow, as c ** 3
+        num, den = (num * mant, den) if p > 0 else (num, den * mant)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.ldexp(num / den, e % 2)), e // 2)
 
 
 def derive_planck_scale(hbar: float = HBAR_CODATA,
@@ -57,9 +61,9 @@ def derive_planck_scale(hbar: float = HBAR_CODATA,
     """Derive the Planck scale from (hbar, G, c).
 
     planck_length = sqrt(hbar G / c^3), planck_time = planck_length / c,
-    planck_mass = sqrt(hbar c / G), lam = planck_length / sqrt(4 pi). A
-    length or mass whose square leaves the float range is taken from the
-    constants' mantissas and exponents, so hbar = G = 1e300 is accepted.
+    planck_mass = sqrt(hbar c / G), lam = planck_length / sqrt(4 pi). The
+    length and mass are taken from the constants' mantissas and exponents,
+    so hbar = G = 1e300, whose hbar G overflows, is accepted.
 
     Raises
     ------
@@ -70,17 +74,8 @@ def derive_planck_scale(hbar: float = HBAR_CODATA,
     for name, value in (("hbar", hbar), ("G", G), ("c", c)):
         positive(name, value)
     constants = f"hbar={hbar!r}, G={G!r}, c={c!r}"
-    try:
-        planck_length = math.sqrt(hbar * G / c ** 3)
-    except (OverflowError, ZeroDivisionError):
-        planck_length = 0.0  # c ** 3 overflows, or underflows to 0
-    if not 0.0 < planck_length < math.inf:
-        # hbar G / c^3 leaves the float range before its root does (hbar = G = 1e300)
-        planck_length = _root_of_powers((hbar, G, c), (1, 1, -3))
-    planck_mass = math.sqrt(hbar * c / G)
-    if not 0.0 < planck_mass < math.inf:
-        # hbar c / G leaves the float range before its root does (G = 1e300)
-        planck_mass = _root_of_powers((hbar, G, c), (1, -1, 1))
+    planck_length = float(_root_of_powers((hbar, G, c), (1, 1, -3)))
+    planck_mass = float(_root_of_powers((hbar, G, c), (1, -1, 1)))
     derived = {
         "planck_length": planck_length,
         "planck_time": planck_length / c,

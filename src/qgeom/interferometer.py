@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PlanckScale
+from .constants import PlanckScale, _root_of_powers
 from .errors import QGeomError, opened, positive
 from .noise import analytic_psd, band_power
 
@@ -108,17 +108,14 @@ def cross_spectrum(a: InterferometerConfig, b: InterferometerConfig,
                    frequencies, scale: PlanckScale) -> np.ndarray:
     """Cross-PSD gamma(d) * sqrt(S_a * S_b) (m^2/Hz); the auto-PSD at d = 0.
 
-    Where S_a * S_b overflows (two arms of about 1e150 m), the root is
-    taken as sqrt(S_a) * sqrt(S_b), which is finite.
+    The root is taken from the mantissas and exponents of S_a and S_b: the
+    bits of sqrt(S_a * S_b) where that product is a normal float, finite
+    where it overflows, and the auto-PSD's own bits for equal co-located arms.
     """
     f = _check_grid(frequencies)
     sa = analytic_psd(a.arm_length, f, scale)
     sb = analytic_psd(b.arm_length, f, scale)
-    with np.errstate(over="ignore"):
-        root = np.sqrt(sa * sb)
-    big = np.isinf(root)
-    root[big] = np.sqrt(sa[big]) * np.sqrt(sb[big])
-    return overlap_factor(a, b) * root
+    return overlap_factor(a, b) * _root_of_powers((sa, sb), (1, 1))
 
 
 def detectability(config: InterferometerConfig, floor: float,

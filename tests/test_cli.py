@@ -726,6 +726,39 @@ def test_rerun_of_missing_manifest_is_domain_error(tmp_path):
         cli.rerun_from_manifest(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("text", [
+    '{"command": "noise", ',
+    '{"parameters": {}}',
+    '[1, 2]',
+    '{"command": "bounds", "parameters": ["mass"]}',
+    "[" * 100000,
+], ids=["not-json", "no-command", "not-an-object", "parameters-a-list", "nested-too-deep"])
+def test_rerun_of_malformed_manifest_is_domain_error(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(QGeomError, match=r"bad\.json: not a manifest"):
+        cli.rerun_from_manifest(path)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_rerun_of_non_utf8_manifest_cannot_read(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"command": "\xff"}')
+    with pytest.raises(QGeomError, match=r"bad\.json: cannot read: "):
+        cli.rerun_from_manifest(path)
+
+
+def test_below_planck_refusal_names_planck_length(tmp_path, monkeypatch, capsys):
+    # the Planck length is a Python float, so the message holds its repr
+    argv = ["noise", "--arm-length", "1e-40", "--rate", "1e50", "--duration", "1",
+            "--out", "s.csv"]
+    assert run_in(tmp_path, monkeypatch, argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: arm length 1e-40 m is below the Planck length 1.61625502392855e-35 m\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # the series CSVs that float64 cannot take through Welch: segment length, message
 OUT_OF_FLOAT_RANGE = {
     "tiny.csv": ("2", "sample rate must be positive and finite, got inf"),

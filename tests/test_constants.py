@@ -1,10 +1,11 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qgeom.constants import derive_planck_scale
+from qgeom.constants import codata_scale, derive_planck_scale
 from qgeom.errors import QGeomError
 
 
@@ -93,3 +94,29 @@ def test_planck_length_beyond_its_square(constants):
                     "lam": length / mpmath.sqrt(4 * mpmath.pi)}
         for name, value in expected.items():
             assert abs(getattr(s, name) / value - 1) < 1e-13, name
+
+
+def test_codata_scale_bits():
+    # the one exact root keeps the CODATA scale's bits, as Python floats
+    s = codata_scale()
+    expected = {"planck_length": "0x1.57bd4b2a50ebcp-116",
+                "planck_mass": "0x1.75e8983ac9fbap-26",
+                "lam": "0x1.83de501898e37p-118",
+                "planck_time": "0x1.33c927b402f5ap-144"}
+    for name, bits in expected.items():
+        value = getattr(s, name)
+        assert type(value) is float, name
+        assert value.hex() == bits, name
+
+
+def test_planck_length_and_mass_within_ulps_of_mpmath():
+    # seeded log-uniform constants over 120 decades: each root within 1.5 ulp
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(25)
+    with mpmath.workdps(50):
+        for hbar, G, c in (10.0 ** rng.uniform(-60.0, 60.0, size=(2000, 3))).tolist():
+            s = derive_planck_scale(hbar=hbar, G=G, c=c)
+            h, g, v = mpmath.mpf(hbar), mpmath.mpf(G), mpmath.mpf(c)
+            for value, exact in ((s.planck_length, mpmath.sqrt(h * g / v ** 3)),
+                                 (s.planck_mass, mpmath.sqrt(h * v / g))):
+                assert abs(value - exact) <= 1.5 * math.ulp(value), (hbar, G, c)

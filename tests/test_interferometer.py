@@ -152,6 +152,18 @@ def test_cross_spectrum_bitwise_where_product_finite(scale):
     assert overflowed >= 2
 
 
+def test_cross_spectrum_equal_arms_is_auto_psd(scale):
+    # co-located equal arms give the model PSD bit for bit on the CLI's default
+    # grid, from the Planck length to 5e175 m, where S_a S_b overflows above about 1e98 m
+    f = np.linspace(0.0, 2e7, 2001)
+    logspaced = np.logspace(-34.0, math.log10(5e175), 70)[:-1].tolist()
+    arms = [scale.planck_length, *logspaced, 1e150, 5e175]
+    for arm in arms:
+        cfg = itf.InterferometerConfig(arm)
+        np.testing.assert_array_equal(itf.cross_spectrum(cfg, cfg, f, scale),
+                                      analytic_psd(arm, f, scale), err_msg=repr(arm))
+
+
 @given(st.floats(min_value=0, max_value=200), st.floats(min_value=0, max_value=200))
 def test_overlap_factor_monotone(d1, d2):
     a = itf.InterferometerConfig(40.0)
