@@ -150,13 +150,13 @@ def transverse_variance_operator(rep: AlgebraRep, state: np.ndarray,
 
 
 def angular_variance_formula(L: float, scale: PlanckScale) -> float:
-    """Directional variance lam / L (dimensionless) for separation L."""
+    """Directional variance lam / L (dimensionless) at separation L, formed only here."""
     positive("separation", L)
     return scale.lam / L
 
 
 def transverse_variance_formula(L: float, scale: PlanckScale) -> float:
-    """Transverse position variance lam * L (m^2) for separation L."""
+    """Transverse position variance lam * L (m^2) at separation L, formed only here."""
     positive("separation", L)
     return scale.lam * L
 

@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import threading
 import warnings
@@ -172,6 +173,9 @@ def _cmd_noise(args, scale):
 def _read_series_csv(path):
     """The series of a CSV whose first line is t_s,x_m, on a uniform time grid."""
     with opened(path) as fh, warnings.catch_warnings():
+        # np.loadtxt opens the path again: a pipe's first buffer would be lost
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise QGeomError(f"{path}: not a regular file; write the series to a file first")
         header = fh.readline()
         if header and header.rstrip("\n") != "t_s,x_m":
             raise QGeomError(f"{path}: first line is not t_s,x_m")

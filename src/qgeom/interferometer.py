@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import transverse_variance_formula
 from .constants import PlanckScale, _root_of_powers
 from .errors import QGeomError, opened, positive
 from .noise import analytic_psd, band_power
@@ -79,8 +80,8 @@ def load_config(path) -> InterferometerConfig:
 
 
 def predict_rms(config: InterferometerConfig, scale: PlanckScale) -> float:
-    """RMS transverse jitter sqrt(lam * arm_length) in meters."""
-    return math.sqrt(scale.lam * config.arm_length)
+    """RMS transverse jitter (m): the root of the algebra's variance lam * arm_length."""
+    return math.sqrt(transverse_variance_formula(config.arm_length, scale))
 
 
 def _check_grid(frequencies) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The holographic jitter model and its time series: synthesis, autocorrelation, spectra.
 
-The model: variance lam*L, coherence window tau_c = 2L/c (the light round
-trip, :func:`coherence_time`), autocorrelation lam*L*max(0, 1 - |tau|/tau_c),
-one-sided PSD :func:`analytic_psd` and its band integral :func:`band_power`.
+The model: variance lam*L (the algebra's transverse_variance_formula), coherence
+window tau_c = 2L/c (:func:`coherence_time`), autocorrelation lam*L*max(0, 1 -
+|tau|/tau_c), one-sided PSD :func:`analytic_psd` and its integral :func:`band_power`.
 A series is a boxcar moving average of unit-variance white noise over
 round(rate * tau_c) whole samples, rescaled to variance lam*L, so its window
 is round(rate * tau_c) / rate: 7 samples for the modelled 6.67 at L = 40 m
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .algebra import angular_variance_formula, transverse_variance_formula
 from .constants import PlanckScale
 from .errors import MAX_ARRAY_LEN, QGeomError, positive
 
@@ -134,12 +135,12 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
             f"the largest array, {MAX_ARRAY_LEN} samples")
     n = int(round(sample_rate * duration))
     m = int(round(sample_rate * tau_c))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    steps = rng.standard_normal(n + m - 1)
+    steps = np.random.Generator(np.random.Philox(key=seed)).standard_normal(n + m - 1)
     # window i's sum is window i - 1's, plus the sample that enters, minus the
     # one that leaves; every output is a full window, so stationary at lam*L
     steps[m:] -= steps[:-m]
-    samples = np.cumsum(steps, out=steps)[m - 1:] * math.sqrt(scale.lam * L / m)
+    sigma = math.sqrt(transverse_variance_formula(L, scale) / m)
+    samples = np.cumsum(steps, out=steps)[m - 1:] * sigma
     return NoiseSeries(samples=samples, sample_rate=float(sample_rate))
 
 
@@ -237,10 +238,9 @@ def analytic_psd(L: float, f, scale: PlanckScale):
     """
     tau_c = coherence_time(L, scale)
     f_arr = np.asarray(f, dtype=float)
-    # np.sinc forms pi * f * tau_c, and lam * L * tau_c grows as L^2: where
-    # either overflows the model has no value, so the grid is refused
+    # where pi f tau_c or lam L tau_c (as L^2) overflows, the grid is refused
     with np.errstate(over="ignore", invalid="ignore"):
-        base = scale.lam * L * tau_c * np.sinc(f_arr * tau_c) ** 2
+        base = transverse_variance_formula(L, scale) * tau_c * np.sinc(f_arr * tau_c) ** 2
         out = np.where(f_arr > 0.0, 2.0 * base, base)
     if not np.isfinite(out).all():
         raise QGeomError(
@@ -311,11 +311,12 @@ def band_power(L: float, f_lo: float, f_hi: float, scale: PlanckScale) -> float:
     x = k[:, None] + t
     # sin(pi t) / (pi x); at x = 0 (a band end that underflows) it is 1
     ratio = np.sinc(t) * np.divide(t, x, out=np.ones_like(t), where=x > 0)
-    return 2.0 * scale.lam * L * (float(width @ (ratio ** 2 @ gl_w)) + middle)
+    integral = float(width @ (ratio ** 2 @ gl_w)) + middle
+    return 2.0 * transverse_variance_formula(L, scale) * integral
 
 
 def drift_velocity_scale(L: float, scale: PlanckScale) -> float:
     """RMS displacement over the one-way coherence time: c*sqrt(lam/L) (m/s),
     for L in the range of :func:`coherence_time`."""
     coherence_time(L, scale)
-    return scale.c * math.sqrt(scale.lam / L)
+    return scale.c * math.sqrt(angular_variance_formula(L, scale))

@@ -440,6 +440,8 @@ BAD_INPUTS = {
     ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "-inf", "--out", "s.csv"],
     ["noise", "--arm-length", "-inf", "--rate", "2.5e7", "--duration", "0.005", "--out", "s.csv"],
     ["interferometer", "--arm-length", "40", "--f-min", "-1e5", "--out", "x.csv"],
+    # a series input that is not a regular file, which np.loadtxt would open twice
+    ["spectrum", "--input", os.devnull, "--arm-length", "40", "--out", "p.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -449,6 +451,36 @@ def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert out == ""  # a refused run prints no report
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_INPUTS)
+
+
+def test_piped_series_refused(tmp_path, monkeypatch, capsys):
+    # the reader opens its input twice, for the header and for the rows, and a
+    # pipe's rows can be read only once: a pipe is refused, never read short
+    noise_argv = ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.001",
+                  "--out", "s.csv"]
+    assert run_in(tmp_path, monkeypatch, noise_argv) == 0
+    text = (tmp_path / "s.csv").read_bytes()
+    assert len(text) > 10 * 65536  # past a pipe's buffer, so the writer stays open
+    os.mkfifo(tmp_path / "pipe")
+
+    def write():
+        try:
+            with open(tmp_path / "pipe", "wb") as fh:
+                fh.write(text)
+        except BrokenPipeError:
+            pass  # the reader refused the pipe and closed it
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    capsys.readouterr()
+    rc = cli.run(["spectrum", "--input", "pipe", "--arm-length", "40", "--segment-length",
+                  "1024", "--out", "pp.csv"])
+    writer.join(timeout=60)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == "error: pipe: not a regular file; write the series to a file first\n"
+    assert not writer.is_alive()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "s.csv", "s.csv.manifest.json"]
 
 
 def test_cross_spectrum_of_overflowing_psds_exit_0(tmp_path, monkeypatch, capsys):

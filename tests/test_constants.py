@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from exact_refs import planck_scale, relative_error, ulps
 from qgeom.constants import codata_scale, derive_planck_scale
 from qgeom.errors import QGeomError
 
@@ -84,16 +85,9 @@ def test_planck_mass_beyond_its_square():
 ])
 def test_planck_length_beyond_its_square(constants):
     # the length itself, 1e300 m or 1e-300 m, is a float
-    mpmath = pytest.importorskip("mpmath")
     s = derive_planck_scale(**constants)
-    with mpmath.workdps(50):
-        hbar, G, c = (mpmath.mpf(constants[k]) for k in ("hbar", "G", "c"))
-        length = mpmath.sqrt(hbar * G / c ** 3)
-        expected = {"planck_length": length, "planck_time": length / c,
-                    "planck_mass": mpmath.sqrt(hbar * c / G),
-                    "lam": length / mpmath.sqrt(4 * mpmath.pi)}
-        for name, value in expected.items():
-            assert abs(getattr(s, name) / value - 1) < 1e-13, name
+    for name, value in planck_scale(**constants).items():
+        assert relative_error(getattr(s, name), value) < 1e-13, name
 
 
 def test_codata_scale_bits():
@@ -109,14 +103,11 @@ def test_codata_scale_bits():
         assert value.hex() == bits, name
 
 
-def test_planck_length_and_mass_within_ulps_of_mpmath():
+def test_planck_length_and_mass_within_ulps_of_exact_roots():
     # seeded log-uniform constants over 120 decades: each root within 1.5 ulp
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(25)
-    with mpmath.workdps(50):
-        for hbar, G, c in (10.0 ** rng.uniform(-60.0, 60.0, size=(2000, 3))).tolist():
-            s = derive_planck_scale(hbar=hbar, G=G, c=c)
-            h, g, v = mpmath.mpf(hbar), mpmath.mpf(G), mpmath.mpf(c)
-            for value, exact in ((s.planck_length, mpmath.sqrt(h * g / v ** 3)),
-                                 (s.planck_mass, mpmath.sqrt(h * v / g))):
-                assert abs(value - exact) <= 1.5 * math.ulp(value), (hbar, G, c)
+    for hbar, G, c in (10.0 ** rng.uniform(-60.0, 60.0, size=(2000, 3))).tolist():
+        s = derive_planck_scale(hbar=hbar, G=G, c=c)
+        exact = planck_scale(hbar, G, c)
+        for name in ("planck_length", "planck_mass"):
+            assert ulps(getattr(s, name), exact[name]) <= 1.5, (hbar, G, c)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgeom import interferometer as itf
-from qgeom.algebra import transverse_variance_formula
+from qgeom.algebra import (build_representation, highest_weight_state,
+                           transverse_variance_formula, transverse_variance_operator)
 from qgeom.errors import QGeomError
 from qgeom.noise import analytic_psd, band_power
 
@@ -64,6 +65,27 @@ def test_predict_rms(scale, cfg40):
 def test_rms_matches_variance_formula(scale, cfg40):
     assert itf.predict_rms(cfg40, scale) ** 2 == pytest.approx(
         transverse_variance_formula(40.0, scale), rel=1e-14)
+
+
+# the chain's relative bound: 1.3e-15 was measured along (0.6, 0, 0.8) and
+# 4.4e-16 along z; the highest-weight state's exp and log are per CPU
+CHAIN_REL = 1e-14
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+def test_paper_chain_operator_to_interferometer(axis, scale):
+    # the paper's chain: a body at separation L is in a spin-j state with
+    # L = lam j, and its highest-weight state's transverse variance lam^2 j is
+    # the variance lam L the interferometer sees; below j = 3.54 that L is under
+    # the Planck length, which predict_rms takes and coherence_time refuses
+    for twice_j in np.unique(np.round(np.geomspace(1.0, 2e6, 16))):
+        rep = build_representation(twice_j / 2, scale)
+        variance = transverse_variance_operator(rep, highest_weight_state(rep, axis), axis)
+        arm = scale.lam * rep.spin
+        rms = itf.predict_rms(itf.InterferometerConfig(arm_length=arm), scale)
+        assert variance == pytest.approx(rms ** 2, rel=CHAIN_REL, abs=0.0), twice_j
+        assert variance == pytest.approx(
+            transverse_variance_formula(arm, scale), rel=CHAIN_REL, abs=0.0), twice_j
 
 
 def test_invalid_arm_length():
