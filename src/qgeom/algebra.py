@@ -1,10 +1,10 @@
 """Finite-dimensional representations of the noncommutative position algebra.
 
 The three position components are lam * J_i, where J_i are the standard
-spin-j angular-momentum matrices in the J3 eigenbasis. There J3 is diagonal
-and J+ has one superdiagonal; a representation stores these two bands, so
-every operation is O(dim) and [x_i, x_j] = i lam eps_ijk x_k holds to
-machine precision.
+spin-j angular-momentum matrices in the J3 eigenbasis. There J3 is the
+diagonal j, ..., -j, derived from the spin, and J+ has one superdiagonal,
+which a representation stores; every operation is O(dim), and
+[x_i, x_j] = i lam eps_ijk x_k holds to machine precision.
 """
 
 from __future__ import annotations
@@ -24,16 +24,18 @@ BAND_CAP = 2_000_001
 
 @dataclass(frozen=True)
 class AlgebraRep:
-    """x_i = lam * J_i (units m) for a single spin j, stored as two bands.
-
-    ``m`` is the J3 diagonal j, ..., -j; ``ladder`` is the J+ superdiagonal.
-    """
+    """x_i = lam * J_i (units m) for a single spin j, stored as one band: the
+    J+ superdiagonal ``ladder``. The J3 diagonal ``m`` is derived from the spin."""
 
     spin: float
     dim: int
     lam: float
-    m: np.ndarray
     ladder: np.ndarray
+
+    @property
+    def m(self) -> np.ndarray:
+        """The J3 diagonal j, j - 1, ..., -j, built on each access: steps of exactly 1."""
+        return self.spin - np.arange(self.dim)
 
     @property
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -61,17 +63,16 @@ def build_representation(spin: float, scale: PlanckScale) -> AlgebraRep:
     m = j - np.arange(dim)
     # J+ couples |j, m> -> |j, m+1> with matrix element sqrt(j(j+1) - m(m+1))
     ladder = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    return AlgebraRep(spin=j, dim=dim, lam=scale.lam, m=m, ladder=ladder)
+    return AlgebraRep(spin=j, dim=dim, lam=scale.lam, ladder=ladder)
 
 
 def commutator_residual(rep: AlgebraRep) -> float:
     """Worst relative violation of [x_i, x_j] = i lam eps_ijk x_k.
 
-    Returns max over cyclic pairs of ||[x_i, x_j] - i lam x_k|| / (lam ||x_k||)
-    in the Frobenius norm. Zero for the trivial spin-0 representation.
-
-    On the bands, [x1, x2] = i lam x3 reads diag [J+, J-] = 2 m, and the
-    other two pairs read (m_k - m_{k+1} - 1) ladder_k = 0.
+    Returns ||[x1, x2] - i lam x3|| / (lam ||x3||) in the Frobenius norm, the
+    one relation the ladder can break; on the bands it reads diag [J+, J-] = 2 m.
+    The other two pairs read (m_k - m_{k+1} - 1) ladder_k = 0, which holds
+    exactly by construction, since m is derived from the spin. Zero for spin 0.
 
     The squared ladder j(j+1) - m(m+1) is rounded at the scale of j^2, so
     the residual grows as C j eps (eps the float64 machine epsilon): C <= 1
@@ -80,11 +81,9 @@ def commutator_residual(rep: AlgebraRep) -> float:
     """
     if rep.dim == 1:
         return 0.0
+    m = rep.m
     sq = np.concatenate(([0.0], rep.ladder ** 2, [0.0]))
-    r3 = np.linalg.norm(0.5 * np.diff(sq) - rep.m) / np.linalg.norm(rep.m)
-    r12 = (np.linalg.norm((rep.m[:-1] - rep.m[1:] - 1.0) * rep.ladder)
-           / np.linalg.norm(rep.ladder))
-    return float(max(r3, r12))
+    return float(np.linalg.norm(0.5 * np.diff(sq) - m) / np.linalg.norm(m))
 
 
 def radial_observable(rep: AlgebraRep) -> float:

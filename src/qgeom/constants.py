@@ -43,13 +43,16 @@ class PlanckScale:
 def _root_of_powers(values, powers):
     """sqrt of the product of value ** power, elementwise, from the values'
     mantissas and binary exponents: no intermediate leaves the float range,
-    and where the direct form's products are normal the bits are its own (up
-    to libm pow's last bit); 0.0 below the smallest float, inf above the largest."""
+    and where the direct form's products are normal the bits are its own, but
+    for a power's last bit: libm pow's is per CPU, while a mantissa's power here
+    is exact and rounded once; 0.0 below the smallest float, inf above the largest."""
     num, den, e = 1.0, 1.0, 0
     for value, p in zip(values, powers):
         mant, exp = np.frexp(value)
         e += p * exp
-        mant = mant if abs(p) == 1 else mant ** abs(p)  # a scalar: libm pow, as c ** 3
+        if abs(p) != 1:  # a scalar: an exact integer power, one correct division
+            n, d = float(mant).as_integer_ratio()
+            mant = n ** abs(p) / d ** abs(p)
         num, den = (num * mant, den) if p > 0 else (num, den * mant)
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(np.ldexp(num / den, e % 2)), e // 2)

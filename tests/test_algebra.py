@@ -78,8 +78,7 @@ def test_commutator_residual_grows_as_j_eps(spin, scale):
 
 def test_commutator_residual_detects_breakage(scale):
     rep = build_representation(1, scale)
-    broken = AlgebraRep(spin=rep.spin, dim=rep.dim, lam=rep.lam, m=rep.m,
-                        ladder=2.0 * rep.ladder)
+    broken = AlgebraRep(spin=rep.spin, dim=rep.dim, lam=rep.lam, ladder=2.0 * rep.ladder)
     assert commutator_residual(broken) >= 0.5
 
 

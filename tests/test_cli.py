@@ -339,6 +339,10 @@ BAD_INPUTS = {
     # header in other units, once read as seconds and metres
     "nohdr.csv": "".join(f"{k / 1e6!r},{k * 1e-17!r}\n" for k in range(64)),
     "units.csv": "t_ms,x_nm\n" + "".join(f"{k / 1e3!r},{k * 1e-8!r}\n" for k in range(64)),
+    # a row that is not two numbers: a word, a third column and an empty sample
+    "abc.csv": "t_s,x_m\n0.0,1e-17\n4e-08,abc\n8e-08,3e-17\n",
+    "ragged.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17,5\n8e-08,3e-17\n",
+    "blank.csv": "t_s,x_m\n0.0,1e-17\n4e-08,\n8e-08,3e-17\n",
 }
 
 
@@ -442,6 +446,13 @@ BAD_INPUTS = {
     ["interferometer", "--arm-length", "40", "--f-min", "-1e5", "--out", "x.csv"],
     # a series input that is not a regular file, which np.loadtxt would open twice
     ["spectrum", "--input", os.devnull, "--arm-length", "40", "--out", "p.csv"],
+    # series rows that are not two numbers each
+    ["spectrum", "--input", "abc.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "p.csv"],
+    ["spectrum", "--input", "ragged.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "p.csv"],
+    ["spectrum", "--input", "blank.csv", "--arm-length", "40", "--segment-length", "2",
+     "--out", "p.csv"],
 ])
 def test_invalid_input_exit_1(argv, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUTS.items():
@@ -713,6 +724,16 @@ def test_series_csv_without_header_one_error_line(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: nohdr.csv: first line is not t_s,x_m\n"
     assert [p.name for p in tmp_path.iterdir()] == ["nohdr.csv"]
+
+
+@pytest.mark.parametrize("name", ["abc.csv", "ragged.csv", "blank.csv"])
+def test_series_csv_malformed_row_names_the_file(name, tmp_path):
+    # exit 1 and no output are test_invalid_input_exit_1's; this is the message
+    path = tmp_path / name
+    path.write_text(BAD_INPUTS[name])
+    with pytest.raises(QGeomError) as err:
+        cli._read_series_csv(path)
+    assert str(err.value).startswith(f"{path}: not a t_s,x_m CSV: ")
 
 
 def test_series_csv_with_crlf_lines(tmp_path):
