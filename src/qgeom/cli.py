@@ -16,6 +16,14 @@ names are a run's only inputs, and all numerics are deterministic. A
 number that starts with '-', such as -1e5 or -inf, is read as the value
 of the long option before it.
 
+Each command imports its own module only when it runs, so `import
+qgeom.cli` loads none of algebra, bounds, interferometer and noise, and
+a `bounds` call loads only bounds. `main`, the `qgeom` script and
+`python -m qgeom.cli`, ends the process with `os._exit` once every file
+is closed and the report is flushed, so no call pays for the
+interpreter's teardown; a Python caller uses `run`, which returns the
+exit code.
+
 Exit codes: 0 success, 1 domain error, 2 usage error; an abbreviated
 option is a usage error. A file that cannot be opened, read, decoded,
 written or closed (a missing input or directory, a full disk), a report
@@ -39,7 +47,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__, algebra, bounds, interferometer, noise
+from . import __version__
 from .constants import derive_planck_scale
 from .errors import MAX_ARRAY_LEN, QGeomError, opened
 
@@ -134,6 +142,7 @@ def _need_count(flag: str, value: int) -> int:
 
 
 def _cmd_algebra(args, scale):
+    from . import algebra
     rep = algebra.build_representation(args.spin, scale)
     report = {
         "spin": args.spin,
@@ -158,6 +167,7 @@ def _cmd_algebra(args, scale):
 
 
 def _cmd_noise(args, scale):
+    from . import noise
     x = noise.generate_timeseries(args.arm_length, args.rate,
                                   args.duration, args.seed, scale).samples
     report = {
@@ -172,6 +182,7 @@ def _cmd_noise(args, scale):
 
 def _read_series_csv(path):
     """The series of a CSV whose first line is t_s,x_m, on a uniform time grid."""
+    from . import noise
     with opened(path) as fh, warnings.catch_warnings():
         # np.loadtxt opens the path again: a pipe's first buffer would be lost
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -186,7 +197,7 @@ def _read_series_csv(path):
         except UnicodeDecodeError:
             raise  # text that is not UTF-8, which `opened` reports
         except ValueError as exc:
-            raise QGeomError(f"{path}: not a t_s,x_m CSV: {exc}") from None
+            raise QGeomError(f"{path}: not a t_s,x_m CSV: {_bad_row(fh) or exc}") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise QGeomError(f"{path}: expected t_s,x_m rows")
     if not np.isfinite(data).all():
@@ -206,7 +217,26 @@ def _read_series_csv(path):
     return noise.NoiseSeries(samples=x, sample_rate=rate)
 
 
+def _bad_row(fh) -> str | None:
+    """The first line of fh after its header that is not two numbers, as
+    `line N: 'text'`, or None; like np.loadtxt, it skips an empty line and
+    drops a '#' comment."""
+    fh.seek(0)
+    fh.readline()
+    for number, line in enumerate(fh, 2):
+        text = line.rstrip("\n")
+        row = text.split("#", 1)[0]
+        if not row:
+            continue
+        try:
+            t, x = map(float, row.split(","))
+        except ValueError:
+            return f"line {number}: {text!r}"
+    return None
+
+
 def _cmd_spectrum(args, scale):
+    from . import noise
     # the estimate does not read the arm length, but it is checked all the same
     noise.coherence_time(args.arm_length, scale)
     series = _read_series_csv(args.input)
@@ -221,6 +251,7 @@ def _cmd_spectrum(args, scale):
 
 
 def _cmd_interferometer(args, scale):
+    from . import interferometer, noise
     if args.config_b is not None and args.out is None:
         raise QGeomError("--config-b needs --out")
     if args.config is not None:
@@ -256,6 +287,7 @@ def _cmd_interferometer(args, scale):
 
 
 def _cmd_bounds(args, scale):
+    from . import bounds
     if args.size is not None and args.mass is None:
         raise QGeomError("--size needs --mass")
     reduced = args.compton_convention == "reduced"
@@ -420,12 +452,11 @@ def rerun_from_manifest(path) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # the unwritten report stays buffered; the flush at exit must not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    # every file is closed, the fork pool ended and the report flushed, or
+    # its failure reported: end without the interpreter's teardown, which
+    # is mostly numpy's, and without a second flush of an unwritable stdout
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

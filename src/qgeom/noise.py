@@ -59,10 +59,11 @@ class SpectrumEstimate:
     segment_count: int
 
 
-# Values tapered and transformed at once: the tile, its spectrum and its power
-# rows take about 1.3 MB at 4096 samples per segment, in a 2 MB L2, and peak
-# at 3.3 MB at 2 (tracemalloc), whatever the series length; 2**15 and 2**17
-# timed the same within run-to-run spread
+# Values tapered and transformed at once. The estimate's working memory (the
+# tile, its spectrum and its power rows) peaks at 1.89 MB at 4096 samples per
+# segment, in a 2 MB L2, at 3.28 MB at 2 and at 2.95 MB at 65,536
+# (tracemalloc, on a 2.5e6-sample series), whatever the series length;
+# 2**15 and 2**17 timed the same within run-to-run spread
 _WELCH_TILE = 2 ** 16
 
 # Lag count below which autocorrelation takes one dot product per lag instead

@@ -630,6 +630,46 @@ def test_python_m_entry_point():
     assert proc.stdout.startswith("planck_length_m ")
 
 
+@pytest.mark.parametrize("argv, module", [
+    (["bounds", "--mass", "1"], "qgeom.bounds"),
+    (["algebra", "--spin", "3"], "qgeom.algebra"),
+])
+def test_each_command_imports_only_its_module(argv, module):
+    # the import loads no command module, and a command loads only its own
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from qgeom import cli\n"
+            "names = {'qgeom.algebra', 'qgeom.bounds', 'qgeom.interferometer', 'qgeom.noise'}\n"
+            "before = sorted(names & set(sys.modules))\n"
+            f"assert cli.run({argv!r}) == 0\n"
+            "print(before, sorted(names & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"[] [{module!r}]"
+
+
+def test_console_path_writes_the_library_bytes(tmp_path, monkeypatch, capsys):
+    # 75,000 rows, so the fork pool runs before main ends the process
+    argv = ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.003",
+            "--out", "s.csv"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    console, library = tmp_path / "console", tmp_path / "library"
+    console.mkdir()
+    library.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "qgeom.cli", *argv], cwd=console,
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert run_in(library, monkeypatch, argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    for name in ("s.csv", "s.csv.manifest.json"):
+        assert (console / name).read_bytes() == (library / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["--hbar", "1", "bounds"],
     ["--G", "1", "bounds"],
@@ -733,7 +773,9 @@ def test_series_csv_malformed_row_names_the_file(name, tmp_path):
     path.write_text(BAD_INPUTS[name])
     with pytest.raises(QGeomError) as err:
         cli._read_series_csv(path)
-    assert str(err.value).startswith(f"{path}: not a t_s,x_m CSV: ")
+    # the bad row is named by its line in the file, header included
+    line = BAD_INPUTS[name].splitlines()[2]
+    assert str(err.value) == f"{path}: not a t_s,x_m CSV: line 3: {line!r}"
 
 
 def test_series_csv_with_crlf_lines(tmp_path):
