@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeom import algebra, bounds, cli, interferometer, noise
+from qgeom import algebra, bounds, cli, files, interferometer, noise
 from qgeom.constants import codata_scale
 from qgeom.errors import QGeomError
 
@@ -104,7 +104,7 @@ def write_input_series(path):
     # 25,000 samples of the 40 m process at 2.5e7 Hz, as t_s,x_m rows
     x = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale()).samples
     t = np.arange(len(x)) / 2.5e7
-    cli._write_csv(path, "t_s,x_m", len(x), lambda s, e: (t[s:e], x[s:e]))
+    files.write_table(path, "t_s,x_m", len(x), lambda s, e: (t[s:e], x[s:e]))
 
 
 @pytest.mark.parametrize("command", RERUN_ARGV)
@@ -192,7 +192,7 @@ def test_spectrum_rows_are_the_segment_fold(tmp_path, monkeypatch, capsys):
     write_input_series(tmp_path / "in.csv")
     assert run_in(tmp_path, monkeypatch, RERUN_ARGV["spectrum-long"]) == 0
     assert "segments 780\n" in capsys.readouterr().out
-    series = cli._read_series_csv(tmp_path / "in.csv")
+    series = files.read_series(tmp_path / "in.csv")
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(64) / 64)
     power = np.zeros(33)
     for segment in np.lib.stride_tricks.sliding_window_view(series.samples, 64)[::32]:
@@ -574,8 +574,8 @@ def test_series_csv_with_time_offset(tmp_path, monkeypatch):
     t = 1.3e9 + np.arange(n) / rate
     x = np.random.default_rng(3).normal(0.0, 1e-17, n)
     path = tmp_path / "gps.csv"
-    cli._write_csv(path, "t_s,x_m", n, lambda s, e: (t[s:e], x[s:e]))
-    read = cli._read_series_csv(path)
+    files.write_table(path, "t_s,x_m", n, lambda s, e: (t[s:e], x[s:e]))
+    read = files.read_series(path)
     assert read.sample_rate == pytest.approx(rate, rel=1e-5)
     assert np.array_equal(read.samples, x)
     assert run_in(tmp_path, monkeypatch,
@@ -598,7 +598,7 @@ def test_unguarded_script_writes_long_csv(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "s.csv") as fh:
         rows = sum(1 for _ in fh) - 1
-    assert rows == 75_000 > cli.CSV_CHUNK_ROWS
+    assert rows == 75_000 > files.CSV_CHUNK_ROWS
 
 
 def test_import_loads_no_scipy():
@@ -772,7 +772,7 @@ def test_series_csv_malformed_row_names_the_file(name, tmp_path):
     path = tmp_path / name
     path.write_text(BAD_INPUTS[name])
     with pytest.raises(QGeomError) as err:
-        cli._read_series_csv(path)
+        files.read_series(path)
     # the bad row is named by its line in the file, header included
     line = BAD_INPUTS[name].splitlines()[2]
     assert str(err.value) == f"{path}: not a t_s,x_m CSV: line 3: {line!r}"
@@ -782,7 +782,7 @@ def test_series_csv_with_crlf_lines(tmp_path):
     # a file written with CRLF line endings reads as the same series
     (tmp_path / "lf.csv").write_text(BAD_INPUTS["ok.csv"])
     (tmp_path / "crlf.csv").write_bytes(BAD_INPUTS["ok.csv"].replace("\n", "\r\n").encode())
-    lf, crlf = (cli._read_series_csv(tmp_path / name) for name in ("lf.csv", "crlf.csv"))
+    lf, crlf = (files.read_series(tmp_path / name) for name in ("lf.csv", "crlf.csv"))
     assert np.array_equal(lf.samples, crlf.samples) and lf.sample_rate == crlf.sample_rate
 
 
@@ -898,7 +898,7 @@ def csv_kinds():
     scale = codata_scale()
     # more rows than one chunk, so the series is written in several chunks
     series = noise.generate_timeseries(40.0, 2.5e7, 0.003, seed=5, scale=scale)
-    assert len(series.samples) > cli.CSV_CHUNK_ROWS
+    assert len(series.samples) > files.CSV_CHUNK_ROWS
     times = np.arange(len(series.samples)) / 2.5e7
     spec = noise.power_spectrum(series, 4096)
     a = interferometer.InterferometerConfig(arm_length=40.0)
@@ -916,7 +916,7 @@ def csv_kinds():
     big = algebra.build_representation(200.0, scale).components[1]
     dump = (*np.indices(big.shape, dtype=float).reshape(2, -1), big.real.ravel(),
             big.imag.ravel())
-    assert big.size > 2 * cli.CSV_CHUNK_ROWS
+    assert big.size > 2 * files.CSV_CHUNK_ROWS
     return [
         ("series", "t_s,x_m", (times, series.samples), zip(times, series.samples)),
         ("spectrum", "f_hz,psd_m2_per_hz", (spec.frequencies, spec.psd),
@@ -937,7 +937,7 @@ def cli_kinds():
     functions supply, against references built from whole arrays."""
     scale = codata_scale()
     # a wrong bound on the last chunk shows at exactly two chunks or one row past
-    for n in (2 * cli.CSV_CHUNK_ROWS, 2 * cli.CSV_CHUNK_ROWS + 1):
+    for n in (2 * files.CSV_CHUNK_ROWS, 2 * files.CSV_CHUNK_ROWS + 1):
         x = noise.generate_timeseries(40.0, 2.5e7, n / 2.5e7, 11, scale).samples
         assert len(x) == n
         yield (["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration",
@@ -953,11 +953,11 @@ def cli_kinds():
 
 @pytest.mark.parametrize("max_workers", [1, 2])
 def test_write_csv_bytes_match_reference(max_workers, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "CSV_MAX_WORKERS", max_workers)
+    monkeypatch.setattr(files, "CSV_MAX_WORKERS", max_workers)
     for name, header, columns, rows in csv_kinds():
         path = tmp_path / f"{name}.csv"
-        cli._write_csv(path, header, len(columns[0]),
-                       lambda s, e: [c[s:e] for c in columns])
+        files.write_table(path, header, len(columns[0]),
+                          lambda s, e: [c[s:e] for c in columns])
         # compared as lists of lines, which pytest diffs quickly when they differ
         assert path.read_text().split("\n") == reference_csv(header, rows).split("\n"), name
     for argv, references in cli_kinds():
@@ -967,8 +967,8 @@ def test_write_csv_bytes_match_reference(max_workers, tmp_path, monkeypatch):
 
 
 def _write_long_csv(path):
-    column = np.arange(cli.CSV_CHUNK_ROWS + 10.0)
-    cli._write_csv(path, "a,b", len(column), lambda s, e: (column[s:e], -column[s:e]))
+    column = np.arange(files.CSV_CHUNK_ROWS + 10.0)
+    files.write_table(path, "a,b", len(column), lambda s, e: (column[s:e], -column[s:e]))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks")
@@ -977,7 +977,7 @@ def test_write_csv_in_daemon_process(tmp_path):
     path = tmp_path / "x.csv"
     with multiprocessing.get_context("fork").Pool(1) as pool:
         pool.apply_async(_write_long_csv, (path,)).get(timeout=60)
-    column = np.arange(cli.CSV_CHUNK_ROWS + 10.0)
+    column = np.arange(files.CSV_CHUNK_ROWS + 10.0)
     assert path.read_text() == reference_csv("a,b", zip(column, -column))
 
 
@@ -986,9 +986,9 @@ def test_write_csv_inline_while_threads_run():
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert cli._csv_workers(5) == 1
+        assert files._csv_workers(5) == 1
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert cli._csv_workers(1) == 1
+    assert files._csv_workers(1) == 1

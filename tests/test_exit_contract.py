@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from qgeom import cli, noise
 from qgeom.constants import codata_scale
+from qgeom.files import CSV_CHUNK_ROWS
 
 settings.register_profile("exit-contract", max_examples=600, derandomize=True,
                           database=None, deadline=None)
@@ -42,7 +43,7 @@ SPECIAL = [0.0, -0.0, 5e-324, 1e-310, codata_scale().planck_length, 1e300,
 COUNTS = [-(2 ** 63), -1, 0, 1, 2, 11, 10 ** 17, 2 ** 60, 2 ** 63, 10 ** 30]
 # the largest count or sample total an example may allocate, and the
 # smallest one it may ask for that no address space holds
-SMALL, HUGE = cli.CSV_CHUNK_ROWS, 1e14
+SMALL, HUGE = CSV_CHUNK_ROWS, 1e14
 
 
 def floats(*ordinary):
