@@ -141,7 +141,8 @@ def generate_timeseries(L: float, sample_rate: float, duration: float,
     # one that leaves; every output is a full window, so stationary at lam*L
     steps[m:] -= steps[:-m]
     sigma = math.sqrt(transverse_variance_formula(L, scale) / m)
-    samples = np.cumsum(steps, out=steps)[m - 1:] * sigma
+    samples = np.cumsum(steps, out=steps)[m - 1:]
+    samples *= sigma
     return NoiseSeries(samples=samples, sample_rate=float(sample_rate))
 
 

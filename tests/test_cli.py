@@ -2,7 +2,6 @@ import json
 import math
 import multiprocessing
 import os
-import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -500,11 +499,9 @@ def test_cross_spectrum_of_overflowing_psds_exit_0(tmp_path, monkeypatch, capsys
     assert run_in(tmp_path, monkeypatch, ["interferometer", "--config", "big.cfg",
                                           "--config-b", "big.cfg", "--out", "x.csv"]) == 0
     assert cli.run(["interferometer", "--config", "big.cfg", "--out", "auto.csv"]) == 0
-    cross = np.loadtxt(tmp_path / "x.csv", delimiter=",", skiprows=1)
-    auto = np.loadtxt(tmp_path / "auto.csv", delimiter=",", skiprows=1)
-    assert np.isfinite(cross).all()
-    np.testing.assert_array_equal(cross[:, 0], auto[:, 0])
-    assert np.all(np.abs(cross[:, 1] - auto[:, 1]) <= 2 * np.spacing(auto[:, 1]))
+    # co-located equal arms: the cross CSV is the auto CSV, byte for byte
+    assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "auto.csv").read_bytes()
+    assert np.isfinite(np.loadtxt(tmp_path / "x.csv", delimiter=",", skiprows=1)).all()
 
 
 @pytest.mark.parametrize("value", ["-1e5", "-inf", "-.5e3", "-1"])
@@ -583,86 +580,77 @@ def test_series_csv_with_time_offset(tmp_path, monkeypatch):
                    "--segment-length", "256", "--out", "p.csv"]) == 0
 
 
-def test_unguarded_script_writes_long_csv(tmp_path):
+def test_unguarded_script_writes_long_csv(python, tmp_path):
     # a script without an `if __name__ == "__main__":` guard must be able
     # to write a file of more than one chunk
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     (tmp_path / "script.py").write_text(
         "import sys\nfrom qgeom import cli\n"
         "sys.exit(cli.run(['noise', '--arm-length', '40', '--rate', '2.5e7',\n"
         "                  '--duration', '0.003', '--out', 's.csv']))\n")
-    proc = subprocess.run([sys.executable, "script.py"], cwd=tmp_path,
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = python("script.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "s.csv") as fh:
         rows = sum(1 for _ in fh) - 1
     assert rows == 75_000 > files.CSV_CHUNK_ROWS
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(python):
     # neither the import nor the band-power quadrature loads scipy
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, qgeom.cli\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "print(loaded())\n"
             "assert qgeom.cli.run(['interferometer', '--arm-length', '40',\n"
             "                      '--floor', '1e-41']) == 0\n"
             "print(loaded())\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "verdict detect" in lines
     assert lines[0] == lines[-1] == "[]"
 
 
-def test_python_m_entry_point():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "qgeom.cli", "bounds", "--mass", "1"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("planck_length_m ")
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--mass", "1"], 0),
+    (["bounds", "--size", "1"], 1),
+    (["--hbar", "1", "bounds"], 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_python_m_exit_codes(argv, code, python, tmp_path):
+    # main hands run's code to the process: report, domain error, usage error
+    proc = python("-m", "qgeom.cli", *argv, cwd=tmp_path)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and list(tmp_path.iterdir()) == []
+    if code == 0:
+        assert proc.stdout.startswith("planck_length_m ") and proc.stderr == ""
+    else:
+        assert proc.stdout == "" and proc.stderr.count("error:") == 1
+        assert proc.stderr.startswith("usage:" if code == 2 else "error:")
 
 
 @pytest.mark.parametrize("argv, module", [
     (["bounds", "--mass", "1"], "qgeom.bounds"),
     (["algebra", "--spin", "3"], "qgeom.algebra"),
 ])
-def test_each_command_imports_only_its_module(argv, module):
+def test_each_command_imports_only_its_module(argv, module, python):
     # the import loads no command module, and a command loads only its own
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
             "from qgeom import cli\n"
             "names = {'qgeom.algebra', 'qgeom.bounds', 'qgeom.interferometer', 'qgeom.noise'}\n"
             "before = sorted(names & set(sys.modules))\n"
             f"assert cli.run({argv!r}) == 0\n"
             "print(before, sorted(names & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"[] [{module!r}]"
 
 
-def test_console_path_writes_the_library_bytes(tmp_path, monkeypatch, capsys):
+def test_console_path_writes_the_library_bytes(python, tmp_path, monkeypatch, capsys):
     # 75,000 rows, so the fork pool runs before main ends the process
     argv = ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.003",
             "--out", "s.csv"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     console, library = tmp_path / "console", tmp_path / "library"
     console.mkdir()
     library.mkdir()
-    proc = subprocess.run([sys.executable, "-m", "qgeom.cli", *argv], cwd=console,
-                          capture_output=True, env=env, timeout=120)
+    proc = python("-m", "qgeom.cli", *argv, cwd=console, text=False)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert run_in(library, monkeypatch, argv) == 0
     assert proc.stdout == capsys.readouterr().out.encode()
@@ -710,12 +698,9 @@ def test_arm_length_message_is_shared(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
-def test_unwritable_stdout_exit_1(sink, unbuffered, tmp_path):
+def test_unwritable_stdout_exit_1(sink, unbuffered, python, tmp_path):
     # the report or help cannot be printed: one error line, and no second
     # complaint when Python flushes a buffered stdout at shutdown
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     if sink == "/dev/full" and not os.path.exists(sink):
         pytest.skip("needs /dev/full")
     for argv in (["--json", "bounds"], ["bounds", "--help"]):
@@ -725,9 +710,8 @@ def test_unwritable_stdout_exit_1(sink, unbuffered, tmp_path):
             read_end, stdout = os.pipe()
             os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "qgeom.cli", *argv],
-                                  stdout=stdout, stderr=subprocess.PIPE, text=True,
-                                  cwd=tmp_path, env=env, timeout=60)
+            proc = python("-m", "qgeom.cli", *argv, stdout=stdout, cwd=tmp_path,
+                          env={"PYTHONUNBUFFERED": unbuffered})
         finally:
             os.close(stdout)
         assert proc.returncode == 1, argv
@@ -737,30 +721,22 @@ def test_unwritable_stdout_exit_1(sink, unbuffered, tmp_path):
 
 @pytest.mark.parametrize("warn", ["default", "error"])
 @pytest.mark.parametrize("name", ["hdr.csv", "empty.csv"])
-def test_series_csv_without_rows_one_error_line(name, warn, tmp_path):
+def test_series_csv_without_rows_one_error_line(name, warn, python, tmp_path):
     # pytest captures warnings, so only a fresh process shows what the user sees
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     (tmp_path / name).write_text(BAD_INPUTS[name])
-    proc = subprocess.run([sys.executable, "-W", warn, "-m", "qgeom.cli", "spectrum",
-                           "--input", name, "--arm-length", "40", "--out", "p.csv"],
-                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    proc = python("-W", warn, "-m", "qgeom.cli", "spectrum", "--input", name,
+                  "--arm-length", "40", "--out", "p.csv", cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {name}: expected t_s,x_m rows\n"
 
 
-def test_series_csv_without_header_one_error_line(tmp_path):
+def test_series_csv_without_header_one_error_line(python, tmp_path):
     # every warning an error: the refusal is the only line, with no file
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     (tmp_path / "nohdr.csv").write_text(BAD_INPUTS["nohdr.csv"])
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qgeom.cli", "spectrum",
-                           "--input", "nohdr.csv", "--arm-length", "40", "--segment-length",
-                           "32", "--out", "p.csv"],
-                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    proc = python("-W", "error", "-m", "qgeom.cli", "spectrum", "--input", "nohdr.csv",
+                  "--arm-length", "40", "--segment-length", "32", "--out", "p.csv",
+                  cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: nohdr.csv: first line is not t_s,x_m\n"
     assert [p.name for p in tmp_path.iterdir()] == ["nohdr.csv"]
@@ -863,17 +839,13 @@ OUT_OF_FLOAT_RANGE = {
 
 
 @pytest.mark.parametrize("name", OUT_OF_FLOAT_RANGE)
-def test_spectrum_out_of_float_range_one_error_line(name, tmp_path):
+def test_spectrum_out_of_float_range_one_error_line(name, python, tmp_path):
     # every warning an error: the refusal is the only line, with no file
     segment_length, message = OUT_OF_FLOAT_RANGE[name]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     (tmp_path / name).write_text(BAD_INPUTS[name])
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qgeom.cli", "spectrum",
-                           "--input", name, "--arm-length", "40", "--segment-length",
-                           segment_length, "--out", "p.csv"],
-                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    proc = python("-W", "error", "-m", "qgeom.cli", "spectrum", "--input", name,
+                  "--arm-length", "40", "--segment-length", segment_length, "--out", "p.csv",
+                  cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == [name]
 

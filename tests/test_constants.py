@@ -1,16 +1,11 @@
 import math
-import os
 import platform
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import qgeom
 from exact_refs import planck_scale, relative_error, ulps
 from qgeom.constants import codata_scale, derive_planck_scale
 from qgeom.errors import QGeomError
@@ -133,18 +128,14 @@ for line in sys.stdin:
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="GLIBC_TUNABLES selects libm variants on glibc only")
-def test_planck_scale_bits_do_not_depend_on_libm_pow():
+def test_planck_scale_bits_do_not_depend_on_libm_pow(python):
     # glibc picks an FMA variant of pow per CPU; here it is turned off for a
     # fresh interpreter, whose roots must keep the bits of this process
     rng = np.random.default_rng(12345)
     constants = (10.0 ** rng.uniform(-60.0, 60.0, size=(20000, 3))).tolist()
     roots = [derive_planck_scale(*triple) for triple in constants]
-    src = str(Path(qgeom.__file__).resolve().parents[1])
-    env = {**os.environ, "GLIBC_TUNABLES": GLIBC_FMA_OFF,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", ROOTS_SCRIPT], capture_output=True, text=True,
-                          env=env, timeout=120,
-                          input="".join(" ".join(map(float.hex, t)) + "\n" for t in constants))
+    proc = python("-c", ROOTS_SCRIPT, env={"GLIBC_TUNABLES": GLIBC_FMA_OFF},
+                  input="".join(" ".join(map(float.hex, t)) + "\n" for t in constants))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{s.planck_length.hex()} {s.planck_mass.hex()}"
                                         for s in roots]

@@ -1,10 +1,6 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,14 +76,15 @@ OPENBLAS_KERNELS = {"Prescott": ["SSE3"], "Nehalem": ["SSSE3", "SSE41", "SSE42"]
 # at L = 40 m, windows of 7, 12, 32 and 267 samples
 WINDOW_RATES = (2.5e7, 4.5e7, 1.2e8, 1e9)
 
-# prints the sha256 of the series at each of those rates
+# prints the sha256 of the series at each of those rates, and of its Welch PSD
 HASH_SCRIPT = f"""
 import hashlib
 from qgeom.constants import codata_scale
-from qgeom.noise import generate_timeseries
+from qgeom.noise import generate_timeseries, power_spectrum
 for rate in {WINDOW_RATES}:
-    x = generate_timeseries(40.0, rate, 2e-3, 3, codata_scale()).samples
-    print(hashlib.sha256(x.tobytes()).hexdigest())
+    series = generate_timeseries(40.0, rate, 2e-3, 3, codata_scale())
+    for bits in (series.samples, power_spectrum(series, segment_length=256).psd):
+        print(hashlib.sha256(bits.tobytes()).hexdigest())
 """
 
 
@@ -100,27 +97,23 @@ def numpy_cpu():
     return umath.__cpu_dispatch__, umath.__cpu_features__
 
 
-def run_python(script, **env):
+def run_python(python, script, **env):
     # a fresh interpreter, where the environment can still choose numpy's kernels
-    src = str(Path(noise.__file__).resolve().parents[1])
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={**base, **env}, timeout=120)
+    return python("-c", script,
+                  env={"OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None, **env})
 
 
 @pytest.fixture(scope="module")
-def default_hashes():
-    proc = run_python(HASH_SCRIPT)
+def default_hashes(python):
+    proc = run_python(python, HASH_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
 
 @pytest.mark.parametrize("setting", [*OPENBLAS_KERNELS, "AVX-512 off"])
-def test_series_bits_do_not_depend_on_cpu(setting, default_hashes, scale):
-    # a BLAS call in synthesis would take these bits from the CPU's kernel,
-    # as a dot product does from 12 samples on
+def test_series_bits_do_not_depend_on_cpu(setting, default_hashes, python, scale):
+    # a BLAS call in synthesis or Welch would take these bits from the CPU's
+    # kernel, as a dot product does from 12 samples on
     tau = coherence_time(L40, scale)
     assert [round(r * tau) for r in WINDOW_RATES] == [7, 12, 32, 267]
     dispatch, features = numpy_cpu()
@@ -128,18 +121,18 @@ def test_series_bits_do_not_depend_on_cpu(setting, default_hashes, scale):
         missing = [f for f in OPENBLAS_KERNELS[setting] if not features.get(f)]
         if missing:
             pytest.skip(f"OPENBLAS_CORETYPE={setting}: the host lacks {' '.join(missing)}")
-        proc = run_python(HASH_SCRIPT, OPENBLAS_CORETYPE=setting)
+        proc = run_python(python, HASH_SCRIPT, OPENBLAS_CORETYPE=setting)
     else:
         avx512 = [f for f in dispatch
                   if (f.startswith("AVX512") or f == "X86_V4") and features.get(f)]
         if not avx512:
             pytest.skip("AVX-512 off: numpy dispatches no AVX-512 path on this host")
         disabled = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
-        refused = run_python("import numpy", **disabled)
+        refused = run_python(python, "import numpy", **disabled)
         if refused.returncode:
             pytest.skip(f"AVX-512 off: numpy refuses {disabled}: "
                         f"{refused.stderr.strip().splitlines()[-1]}")
-        proc = run_python(HASH_SCRIPT, **disabled)
+        proc = run_python(python, HASH_SCRIPT, **disabled)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == default_hashes
 
