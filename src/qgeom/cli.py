@@ -92,14 +92,12 @@ def _need_count(flag: str, value: int) -> int:
 def _cmd_algebra(args, scale):
     from . import algebra
     rep = algebra.build_representation(args.spin, scale)
-    # m is built on each access, 16 MB at spin 1e6
-    m = rep.m
     report = {
         "spin": args.spin,
         "dim": rep.dim,
         "lambda_m": scale.lam,
-        "x3_min_m": rep.lam * m[-1],
-        "x3_max_m": rep.lam * m[0],
+        "x3_min_m": rep.lam * (rep.spin - (rep.dim - 1)),
+        "x3_max_m": rep.lam * rep.spin,
         "radial_m": algebra.radial_observable(rep),
     }
     if args.check:

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -34,3 +36,50 @@ def python():
                               env={k: v for k, v in base.items() if v is not None}, **kwargs)
 
     return run
+
+
+def _numbers(text):
+    """Every value of a report or CSV body that reads as a float."""
+    for cell in text.replace("\n", ",").split(","):
+        try:
+            yield float(cell)
+        except ValueError:
+            pass
+
+
+def _report_values(stdout):
+    # a JSON report is one object; a text report is `key value` lines
+    if stdout.startswith("{"):
+        return [str(v) for v in json.loads(stdout).values()]
+    return [line.split(" ", 1)[1] for line in stdout.splitlines()]
+
+
+@pytest.fixture(scope="session")
+def exit_contract():
+    """Check one CLI run, given its exit code, stdout, stderr and the paths of
+    the files it made, against the exit contract:
+
+    0: the report and every CSV body hold only finite numbers;
+    1: no report, exactly one `error:` line, and no file;
+    2: no report, one `usage:` line and one `error:` line, and no file;
+    and no traceback on any code.
+    """
+    def check(code, out, err, made):
+        made = list(made)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            for value in _report_values(out):
+                assert all(map(math.isfinite, _numbers(value))), (value, out)
+            for path in made:
+                if path.name.endswith(".csv"):
+                    body = path.read_text().split("\n", 1)[1]
+                    assert all(map(math.isfinite, _numbers(body))), path.name
+            return
+        assert out == "" and not made
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err.startswith("usage: ") and err.count("usage:") == err.count("error:") == 1
+
+    return check
