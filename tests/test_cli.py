@@ -504,6 +504,43 @@ def test_invalid_input_exit_1(expected, argv, tmp_path, monkeypatch, capsys, exi
     assert err.startswith("error: " + expected)
 
 
+def run_refusal_fresh(name, warn, python, tmp_path, exit_contract):
+    # the REFUSALS row that reads `name`, under -W warn in a fresh interpreter, since
+    # pytest captures warnings; the row's error line is then the whole of stderr
+    [(expected, argv)] = [row for row in (getattr(r, "values", r) for r in REFUSALS)
+                          if name in row[1]]
+    (tmp_path / name).write_text(BAD_INPUTS[name])
+    proc = python("-W", warn, "-m", "qgeom.cli", *argv, cwd=tmp_path)
+    exit_contract(1, proc.stdout, proc.stderr, [p for p in tmp_path.iterdir() if p.name != name])
+    assert proc.stderr == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("warn", ["default", "error"])
+@pytest.mark.parametrize("name", ["hdr.csv", "empty.csv"])
+def test_series_csv_without_rows_one_error_line(name, warn, python, tmp_path, exit_contract):
+    run_refusal_fresh(name, warn, python, tmp_path, exit_contract)
+
+
+def test_series_csv_without_header_one_error_line(python, tmp_path, exit_contract):
+    run_refusal_fresh("nohdr.csv", "error", python, tmp_path, exit_contract)
+
+
+@pytest.mark.parametrize("name", ["tiny.csv", "wide.csv", "huge.csv"])
+def test_spectrum_out_of_float_range_one_error_line(name, python, tmp_path, exit_contract):
+    run_refusal_fresh(name, "error", python, tmp_path, exit_contract)
+
+
+@pytest.mark.parametrize("name", ["abc.csv", "ragged.csv", "blank.csv"])
+def test_series_csv_malformed_row_names_the_file(name, tmp_path):
+    # the reader names the file by the path it was given, here an absolute one
+    path = tmp_path / name
+    path.write_text(BAD_INPUTS[name])
+    with pytest.raises(QGeomError) as err:
+        files.read_series(path)
+    line = BAD_INPUTS[name].splitlines()[2]
+    assert str(err.value) == f"{path}: not a t_s,x_m CSV: line 3: {line!r}"
+
+
 def test_piped_series_refused(tmp_path, monkeypatch, capsys, exit_contract):
     # the reader opens its input twice, for the header and for the rows, and a
     # pipe's rows can be read only once: a pipe is refused, never read short
