@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .constants import PlanckScale
 from .errors import positive
 
@@ -28,11 +26,17 @@ def compton_size(mass, scale: PlanckScale, reduced: bool = True):
 
     Reduced form hbar/(m c) by default; reduced=False gives h/(m c).
     Where m c overflows (m above about 6e299 kg) the size is 0.0, the
-    correctly rounded underflow of hbar/(m c).
+    correctly rounded underflow of hbar/(m c). For a Python number this is
+    float arithmetic, whose m c overflows to inf unwarned, so numpy is not
+    imported; an array's overflow is silenced with numpy's errstate.
     """
     positive("mass", mass)
-    with np.errstate(over="ignore"):
+    if type(mass) in (int, float) and type(scale.c) in (int, float):
         size = scale.hbar / (mass * scale.c)
+    else:
+        import numpy as np
+        with np.errstate(over="ignore"):
+            size = scale.hbar / (mass * scale.c)
     return size if reduced else 2.0 * math.pi * size
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import positive
 
 # CODATA 2018 recommended values
@@ -45,15 +43,24 @@ def _root_of_powers(values, powers):
     mantissas and binary exponents: no intermediate leaves the float range,
     and where the direct form's products are normal the bits are its own, but
     for a power's last bit: libm pow's is per CPU, while a mantissa's power here
-    is exact and rounded once; 0.0 below the smallest float, inf above the largest."""
+    is exact and rounded once; 0.0 below the smallest float, inf above the largest.
+    Python ints and floats take the same steps in `math`, with the same bits."""
+    scalar = all(type(value) in (int, float) for value in values)
+    if not scalar:
+        import numpy as np
     num, den, e = 1.0, 1.0, 0
     for value, p in zip(values, powers):
-        mant, exp = np.frexp(value)
+        mant, exp = math.frexp(value) if scalar else np.frexp(value)
         e += p * exp
         if abs(p) != 1:  # a scalar: an exact integer power, one correct division
             n, d = float(mant).as_integer_ratio()
             mant = n ** abs(p) / d ** abs(p)
         num, den = (num * mant, den) if p > 0 else (num, den * mant)
+    if scalar:
+        try:
+            return math.ldexp(math.sqrt(math.ldexp(num / den, e % 2)), e // 2)
+        except OverflowError:  # where np.ldexp gives inf
+            return math.inf
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(np.ldexp(num / den, e % 2)), e // 2)
 

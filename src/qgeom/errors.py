@@ -8,8 +8,6 @@ import contextlib
 import math
 import sys
 
-import numpy as np
-
 # the most float64 values one array can hold: beyond it the byte count
 # exceeds any address space, and numpy raises ValueError, not MemoryError
 MAX_ARRAY_LEN = sys.maxsize // 8
@@ -21,11 +19,16 @@ class QGeomError(ValueError):
 
 def positive(name: str, value) -> None:
     """Raise QGeomError unless value, a number or an array, is positive and
-    finite (NaN is neither); an array is reported by its first entry that is not."""
-    values = np.asarray(value)
-    bad = values[~((0.0 < values) & (values < math.inf))]
-    if bad.size:
-        raise QGeomError(f"{name} must be positive and finite, got {bad[0].item()!r}")
+    finite (NaN is neither); an array is reported by its first entry that is
+    not. A Python int or float is checked with `math`, without numpy."""
+    if type(value) in (int, float):
+        bad = [] if 0.0 < value < math.inf else [value]
+    else:
+        import numpy as np
+        values = np.asarray(value)
+        bad = values[~((0.0 < values) & (values < math.inf))][:1].tolist()
+    if bad:
+        raise QGeomError(f"{name} must be positive and finite, got {bad[0]!r}")
 
 
 @contextlib.contextmanager

@@ -6,8 +6,6 @@ import sys
 import threading
 import warnings
 
-import numpy as np
-
 from .errors import QGeomError, opened
 
 CSV_CHUNK_ROWS = 1 << 16
@@ -63,6 +61,7 @@ def write_table(path, header: str, rows: int, chunk) -> None:
 
 def read_series(path):
     """The series of a CSV whose first line is t_s,x_m, on a uniform time grid."""
+    import numpy as np
     from . import noise
     with opened(path) as fh, warnings.catch_warnings():
         # np.loadtxt opens the path again: a pipe's first buffer would be lost

@@ -129,11 +129,16 @@ LINES = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("line", LINES.values(), ids=LINES)
 def test_lines_elementwise_bitwise(line, scale):
-    # one call on the whole grid gives the bits of one call per mass
-    per_mass = np.array([line(float(m), scale) for m in GRID])
-    assert line(GRID, scale).tobytes() == per_mass.tobytes()
+    # one call on the whole grid gives the bits of one call per mass, a
+    # Python float taking float arithmetic and the array numpy's, unwarned
+    # alike where m c overflows (1e300, whose Compton size is 0.0)
+    masses = np.concatenate([GRID, [M_SUN, 1e300, 5e-324]])
+    per_mass = [line(float(m), scale) for m in masses]
+    assert {type(size) for size in per_mass} == {float}
+    assert line(masses, scale).tobytes() == np.array(per_mass).tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

@@ -673,21 +673,6 @@ def test_unguarded_script_writes_long_csv(python, tmp_path):
     assert rows == 75_000 > files.CSV_CHUNK_ROWS
 
 
-def test_import_loads_no_scipy(python):
-    # neither the import nor the band-power quadrature loads scipy
-    code = ("import sys, qgeom.cli\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "print(loaded())\n"
-            "assert qgeom.cli.run(['interferometer', '--arm-length', '40',\n"
-            "                      '--floor', '1e-41']) == 0\n"
-            "print(loaded())\n")
-    proc = python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "verdict detect" in lines
-    assert lines[0] == lines[-1] == "[]"
-
-
 @pytest.mark.parametrize("argv, code", [
     (["bounds", "--mass", "1"], 0),
     (["bounds", "--size", "1"], 1),
@@ -702,21 +687,30 @@ def test_python_m_exit_codes(argv, code, python, tmp_path, exit_contract):
         assert proc.stdout.startswith("planck_length_m ") and proc.stderr == ""
 
 
-@pytest.mark.parametrize("argv, module", [
-    (["bounds", "--mass", "1"], "qgeom.bounds"),
-    (["algebra", "--spin", "3"], "qgeom.algebra"),
-])
-def test_each_command_imports_only_its_module(argv, module, python):
-    # the import loads no command module, and a command loads only its own
-    code = ("import sys\n"
-            "from qgeom import cli\n"
-            "names = {'qgeom.algebra', 'qgeom.bounds', 'qgeom.interferometer', 'qgeom.noise'}\n"
-            "before = sorted(names & set(sys.modules))\n"
-            f"assert cli.run({argv!r}) == 0\n"
-            "print(before, sorted(names & set(sys.modules)))\n")
-    proc = python("-c", code)
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["bounds", "--mass", "1"], 0, ["qgeom.bounds"]),
+    (["algebra", "--spin", "3"], 0, ["numpy", "qgeom.algebra"]),
+    (["--help"], 0, []),
+    (["bounds", "--mass"], 2, []),
+    (["bounds", "--mass", "-1"], 1, ["qgeom.bounds"]),
+    (["interferometer", "--arm-length", "40", "--floor", "1e-41"], 0,
+     ["numpy", "qgeom.algebra", "qgeom.interferometer", "qgeom.noise"]),
+], ids=["argv0-qgeom.bounds", "argv1-qgeom.algebra", "help", "usage-error", "refusal",
+        "band-power"])
+def test_each_command_imports_only_its_module(argv, code, loaded, python):
+    # the import loads no command module and no numpy; a command loads only
+    # its own module and the ones it calls, numpy only where it forms an
+    # array, and nothing, not even the band-power quadrature, loads scipy
+    script = ("import sys\n"
+              "from qgeom import cli\n"
+              "names = {'numpy', 'scipy', 'qgeom.algebra', 'qgeom.bounds',\n"
+              "         'qgeom.interferometer', 'qgeom.noise'}\n"
+              "before = sorted(names & set(sys.modules))\n"
+              f"code = cli.run({argv!r})\n"
+              "print(code, before, sorted(names & set(sys.modules)))\n")
+    proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"[] [{module!r}]"
+    assert proc.stdout.splitlines()[-1] == f"{code} [] {loaded!r}"
 
 
 def test_console_path_writes_the_library_bytes(python, tmp_path, monkeypatch, capsys):

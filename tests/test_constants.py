@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exact_refs import planck_scale, relative_error, ulps
-from qgeom.constants import codata_scale, derive_planck_scale
+from qgeom.constants import _root_of_powers, codata_scale, derive_planck_scale
 from qgeom.errors import QGeomError
 
 
@@ -112,6 +112,23 @@ def test_planck_length_and_mass_within_ulps_of_exact_roots():
         exact = planck_scale(hbar, G, c)
         for name in ("planck_length", "planck_mass"):
             assert ulps(getattr(s, name), exact[name]) <= 1.5, (hbar, G, c)
+
+
+def test_roots_of_floats_have_the_bits_of_arrays():
+    # Python floats take math's steps, 1-element arrays numpy's (a cubed
+    # constant, which only a scalar may be, as a numpy float): the same bits,
+    # inf above the largest float and 0.0 below the smallest
+    rng = np.random.default_rng(34)
+    roots = []
+    for triple in (10.0 ** rng.uniform(-150.0, 150.0, size=(2000, 3))).tolist():
+        for powers in ((1, 1, -3), (1, -1, 1)):
+            alone = _root_of_powers(triple, powers)
+            as_array = _root_of_powers([np.array([v]) if abs(p) == 1 else np.float64(v)
+                                        for v, p in zip(triple, powers)], powers)
+            assert type(alone) is float
+            assert np.array([alone]).tobytes() == as_array.tobytes(), (triple, powers)
+            roots.append(alone)
+    assert math.inf in roots and 0.0 in roots
 
 
 GLIBC_FMA_OFF = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX2_Usable,-FMA_Usable"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ from qgeom.errors import QGeomError, positive
     # an array is reported by its first entry that is not positive and finite
     (np.array([1.0, np.nan, -2.0]), "nan"),
     (np.array([3, -2]), "-2"),
+    # a Python number is checked without numpy, and reads as its repr
+    (math.nan, "nan"),
+    pytest.param(math.inf, "inf", id="python-inf"),
+    (-0.0, "-0.0"),
+    (0, "0"),
 ])
 def test_positive_refusal_names_the_value(value, shown):
     with pytest.raises(QGeomError) as exc:

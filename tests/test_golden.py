@@ -85,3 +85,13 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys):
         for path in sorted(set(tmp_path.iterdir()) - before):
             table[argv][path.name] = sha256(path.read_bytes())
     assert table == GOLDEN
+
+
+def test_bounds_report_without_numpy(python):
+    # a scalar report runs on math alone: with numpy unimportable, its bytes
+    # are still the golden ones, under any Python and numpy version
+    argv = "bounds --mass 1.989e30 --size 1"
+    proc = python("-c", "import sys\nsys.modules['numpy'] = None\nfrom qgeom import cli\n"
+                  f"sys.exit(cli.run({argv.split()!r}))\n", text=False)
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout) == GOLDEN[argv]["<stdout>"]
