@@ -94,7 +94,7 @@ def radial_observable(rep: AlgebraRep) -> float:
 def _polar(axis) -> tuple[float, float]:
     """Polar and azimuthal angles (theta, phi) of a unit 3-vector."""
     a = np.asarray(axis, dtype=float)
-    if a.shape != (3,) or abs(np.linalg.norm(a) - 1.0) > 1e-10:
+    if a.shape != (3,) or not abs(np.linalg.norm(a) - 1.0) <= 1e-10:  # NaN fails too
         raise QGeomError(f"axis must be a unit 3-vector, got {axis!r}")
     return math.atan2(math.hypot(a[0], a[1]), a[2]), math.atan2(a[1], a[0])
 

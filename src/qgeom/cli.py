@@ -14,19 +14,18 @@ rebuilt from it, one `--flag=value` token per option so that a value may
 start with '-', reruns the outputs bitwise: the argv and the files it
 names are a run's only inputs, and all numerics are deterministic. A
 number that starts with '-', such as -1e5 or -inf, is read as the value
-of the long option before it. `qgeom.files` owns the data files' formats.
+of the long option before it. `qgeom.files` writes every CSV, and writes
+and reads the series; each command names the columns of its other CSVs.
 
 Each command imports its own module only when it runs, so `import
 qgeom.cli` loads none of algebra, bounds, interferometer and noise, and
 a `bounds` call loads only bounds. numpy is imported only where an array
 is formed, so `import qgeom.cli`, `--help`, every usage error, `bounds`
-without `--out` and every `bounds` refusal load no numpy: on a 2-CPU
-Xeon, `bounds --mass 1.989e30 --size 1` took 91 ms against 184 ms with
-numpy (medians of 12 interleaved pairs). `main`, the `qgeom` script and
-`python -m qgeom.cli`, ends the process with `os._exit` once every file
-is closed and the report is flushed, so no call pays for the
-interpreter's teardown; a Python caller uses `run`, which returns the
-exit code.
+without `--out` and every `bounds` refusal load no numpy. `main`, the
+`qgeom` script and `python -m qgeom.cli`, ends the process with
+`os._exit` once every file is closed and the report is flushed, so no
+call pays for the interpreter's teardown; a Python caller uses `run`,
+which returns the exit code.
 
 Exit codes: 0 success, 1 domain error, 2 usage error; an abbreviated
 option is a usage error. A file that cannot be opened, read, decoded,
@@ -49,7 +48,7 @@ import sys
 from . import __version__
 from .constants import derive_planck_scale
 from .errors import MAX_ARRAY_LEN, QGeomError, opened
-from .files import read_series, write_table
+from .files import read_series, series_table, write_table
 
 
 def write_manifest(args: argparse.Namespace, output_paths: list[str]) -> None:
@@ -118,18 +117,16 @@ def _cmd_algebra(args, scale):
 
 
 def _cmd_noise(args, scale):
-    import numpy as np
     from . import noise
-    x = noise.generate_timeseries(args.arm_length, args.rate,
-                                  args.duration, args.seed, scale).samples
+    series = noise.generate_timeseries(args.arm_length, args.rate,
+                                       args.duration, args.seed, scale)
     report = {
-        "samples": len(x),
-        "rms_m": np.sqrt(np.mean(x ** 2)),
+        "samples": len(series.samples),
+        "rms_m": math.sqrt((series.samples ** 2).mean()),
         "coherence_time_s": noise.coherence_time(args.arm_length, scale),
         "out": args.out,
     }
-    return report, [(args.out, "t_s,x_m", len(x),
-                     lambda s, e: (np.arange(s, e) / args.rate, x[s:e]))]
+    return report, [series_table(args.out, series)]
 
 
 def _cmd_spectrum(args, scale):
@@ -166,10 +163,7 @@ def _cmd_interferometer(args, scale):
         det = interferometer.detectability(
             cfg, args.floor, (args.band_lo, args.band_hi),
             args.integration_time, scale)
-        report.update({
-            "snr_proxy": det.snr_proxy,
-            "verdict": det.verdict,
-        })
+        report.update(snr_proxy=det.snr_proxy, verdict=det.verdict)
     if args.out is None:
         return report, []
     # a non-finite end puts NaN in the grid, which the model refuses

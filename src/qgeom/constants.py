@@ -39,30 +39,21 @@ class PlanckScale:
 
 
 def _root_of_powers(values, powers):
-    """sqrt of the product of value ** power, elementwise, from the values'
-    mantissas and binary exponents: no intermediate leaves the float range,
-    and where the direct form's products are normal the bits are its own, but
-    for a power's last bit: libm pow's is per CPU, while a mantissa's power here
-    is exact and rounded once; 0.0 below the smallest float, inf above the largest.
-    Python ints and floats take the same steps in `math`, with the same bits."""
-    scalar = all(type(value) in (int, float) for value in values)
-    if not scalar:
-        import numpy as np
+    """sqrt of the product of value ** power from the values' mantissas and binary
+    exponents: no intermediate leaves the float range, and where the direct form's
+    products are normal the bits are its own but for a power's last bit, which libm
+    pow gives per CPU; 0.0 below the smallest float, inf above the largest."""
     num, den, e = 1.0, 1.0, 0
     for value, p in zip(values, powers):
-        mant, exp = math.frexp(value) if scalar else np.frexp(value)
+        mant, exp = math.frexp(value)
         e += p * exp
-        if abs(p) != 1:  # a scalar: an exact integer power, one correct division
-            n, d = float(mant).as_integer_ratio()
-            mant = n ** abs(p) / d ** abs(p)
+        n, d = mant.as_integer_ratio()  # an exact integer power, one correct division
+        mant = n ** abs(p) / d ** abs(p)
         num, den = (num * mant, den) if p > 0 else (num, den * mant)
-    if scalar:
-        try:
-            return math.ldexp(math.sqrt(math.ldexp(num / den, e % 2)), e // 2)
-        except OverflowError:  # where np.ldexp gives inf
-            return math.inf
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.sqrt(np.ldexp(num / den, e % 2)), e // 2)
+    try:
+        return math.ldexp(math.sqrt(math.ldexp(num / den, e % 2)), e // 2)
+    except OverflowError:  # the root is above the largest float
+        return math.inf
 
 
 def derive_planck_scale(hbar: float = HBAR_CODATA,
@@ -83,17 +74,15 @@ def derive_planck_scale(hbar: float = HBAR_CODATA,
     """
     for name, value in (("hbar", hbar), ("G", G), ("c", c)):
         positive(name, value)
-    constants = f"hbar={hbar!r}, G={G!r}, c={c!r}"
-    planck_length = float(_root_of_powers((hbar, G, c), (1, 1, -3)))
-    planck_mass = float(_root_of_powers((hbar, G, c), (1, -1, 1)))
+    planck_length = _root_of_powers((hbar, G, c), (1, 1, -3))
     derived = {
         "planck_length": planck_length,
         "planck_time": planck_length / c,
-        "planck_mass": planck_mass,
+        "planck_mass": _root_of_powers((hbar, G, c), (1, -1, 1)),
         "lam": planck_length / SQRT_4PI,
     }
     for name, value in derived.items():
-        positive(f"{name} of {constants}", value)
+        positive(f"{name} of hbar={hbar!r}, G={G!r}, c={c!r}", value)
     return PlanckScale(hbar=hbar, G=G, c=c, **derived)
 
 

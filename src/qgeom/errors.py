@@ -22,13 +22,16 @@ def positive(name: str, value) -> None:
     finite (NaN is neither); an array is reported by its first entry that is
     not. A Python int or float is checked with `math`, without numpy."""
     if type(value) in (int, float):
-        bad = [] if 0.0 < value < math.inf else [value]
+        try:
+            bad = [] if 0.0 < float(value) < math.inf else [repr(value)]
+        except OverflowError:  # an int that str() may refuse to spell out
+            bad = ["an int beyond the float range"]
     else:
         import numpy as np
         values = np.asarray(value)
-        bad = values[~((0.0 < values) & (values < math.inf))][:1].tolist()
+        bad = [repr(v) for v in values[~((0.0 < values) & (values < math.inf))][:1].tolist()]
     if bad:
-        raise QGeomError(f"{name} must be positive and finite, got {bad[0]!r}")
+        raise QGeomError(f"{name} must be positive and finite, got {bad[0]}")
 
 
 @contextlib.contextmanager

@@ -1,4 +1,4 @@
-"""The file formats: the CSV writer `write_table` and the series reader `read_series`."""
+"""The file formats: the CSV writer `write_table`; the series' `series_table` and `read_series`."""
 
 import os
 import stat
@@ -59,6 +59,13 @@ def write_table(path, header: str, rows: int, chunk) -> None:
             fh.writelines(pool.imap(_format_rows, chunks))
 
 
+def series_table(path, series):
+    """write_table's arguments for a series: t_s,x_m rows (k / rate, sample k)."""
+    import numpy as np
+    x, rate = series.samples, series.sample_rate
+    return path, "t_s,x_m", len(x), lambda s, e: (np.arange(s, e) / rate, x[s:e])
+
+
 def read_series(path):
     """The series of a CSV whose first line is t_s,x_m, on a uniform time grid."""
     import numpy as np
@@ -108,8 +115,10 @@ def _bad_row(fh) -> str | None:
         row = text.split("#", 1)[0]
         if not row:
             continue
+        # drop a cell that np.loadtxt refuses, non-ASCII or with '_', so unpacking fails
+        cells = [cell.strip() for cell in row.split(",")]
         try:
-            t, x = map(float, row.split(","))
+            t, x = [float(cell) for cell in cells if cell.isascii() and "_" not in cell]
         except ValueError:
             return f"line {number}: {text!r}"
     return None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import transverse_variance_formula
-from .constants import PlanckScale, _root_of_powers
+from .constants import PlanckScale
 from .errors import QGeomError, opened, positive
 from .noise import analytic_psd, band_power
 
@@ -114,9 +114,10 @@ def cross_spectrum(a: InterferometerConfig, b: InterferometerConfig,
     where it overflows, and the auto-PSD's own bits for equal co-located arms.
     """
     f = _check_grid(frequencies)
-    sa = analytic_psd(a.arm_length, f, scale)
-    sb = analytic_psd(b.arm_length, f, scale)
-    return overlap_factor(a, b) * _root_of_powers((sa, sb), (1, 1))
+    ma, ea = np.frexp(analytic_psd(a.arm_length, f, scale))
+    mb, eb = np.frexp(analytic_psd(b.arm_length, f, scale))
+    e = ea + eb
+    return overlap_factor(a, b) * np.ldexp(np.sqrt(np.ldexp(ma * mb, e % 2)), e // 2)
 
 
 def detectability(config: InterferometerConfig, floor: float,

@@ -152,7 +152,7 @@ def autocorrelation(series: NoiseSeries, max_lag: float):
     Returns (lags_s, acf) arrays for lags 0..k_max, k_max = round(max_lag *
     rate); acf[k] = sum(x0[i] * x0[i + k]) / n over the mean-removed series
     x0, so acf[0] is the biased sample variance. max_lag must be finite, at
-    least 0 and at most a quarter of the duration.
+    least 0 and at most a quarter of the duration. A non-finite ACF is refused.
 
     Fewer than _ACF_DIRECT_LAGS lags are computed directly, one dot product
     per lag, in O(n * k_max). Longer lag ranges use the FFT, zero-padded to
@@ -168,13 +168,16 @@ def autocorrelation(series: NoiseSeries, max_lag: float):
         raise QGeomError(
             f"max_lag {max_lag} s exceeds a quarter of the {series.duration} s series")
     k_max = int(round(max_lag * series.sample_rate))
-    x0 = x - x.mean()
-    if k_max + 1 < _ACF_DIRECT_LAGS:
-        acf = np.array([x0[:n - k] @ x0[k:] for k in range(k_max + 1)]) / n
-    else:
-        nfft = 1 << (n + k_max - 1).bit_length()
-        spec = np.fft.rfft(x0, nfft)
-        acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[: k_max + 1] / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = x - x.mean()
+        if k_max + 1 < _ACF_DIRECT_LAGS:
+            acf = np.array([x0[:n - k] @ x0[k:] for k in range(k_max + 1)]) / n
+        else:
+            nfft = 1 << (n + k_max - 1).bit_length()
+            spec = np.fft.rfft(x0, nfft)
+            acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[: k_max + 1] / n
+    if not np.isfinite(acf).all():
+        raise QGeomError("autocorrelation of this series is not finite in float64")
     lags = np.arange(k_max + 1) / series.sample_rate
     return lags, acf
 

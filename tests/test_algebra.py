@@ -174,6 +174,20 @@ def test_transverse_variance_shape_error(scale):
         transverse_variance_operator(rep, other)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", [(0.0, 1.0), (2.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                  (math.inf, 0.0, 0.0)])
+def test_axis_not_a_unit_3_vector_refused(axis, scale):
+    # a NaN norm compares false with any tolerance, so it is refused too
+    rep = build_representation(1, scale)
+    state = highest_weight_state(rep)
+    for call in (lambda: highest_weight_state(rep, axis),
+                 lambda: transverse_variance_operator(rep, state, axis)):
+        with pytest.raises(QGeomError) as exc:
+            call()
+        assert str(exc.value) == f"axis must be a unit 3-vector, got {axis!r}"
+
+
 def test_operator_formula_convergence(scale):
     # lam^2 j over lam * lam sqrt(j(j+1)) lies within [1 - 1/(2j), 1]
     for spin in (1.0, 5.0, 20.0, 100.0):

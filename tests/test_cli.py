@@ -90,9 +90,8 @@ RERUN_ARGV = {
 
 def write_input_series(path):
     # 25,000 samples of the 40 m process at 2.5e7 Hz, as t_s,x_m rows
-    x = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale()).samples
-    t = np.arange(len(x)) / 2.5e7
-    files.write_table(path, "t_s,x_m", len(x), lambda s, e: (t[s:e], x[s:e]))
+    series = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale())
+    files.write_table(*files.series_table(path, series))
 
 
 @pytest.mark.parametrize("command", RERUN_ARGV)
@@ -314,6 +313,11 @@ BAD_INPUTS = {
     "abc.csv": "t_s,x_m\n0.0,1e-17\n4e-08,abc\n8e-08,3e-17\n",
     "ragged.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17,5\n8e-08,3e-17\n",
     "blank.csv": "t_s,x_m\n0.0,1e-17\n4e-08,\n8e-08,3e-17\n",
+    # numbers to float() but not to np.loadtxt: an underscore and an Arabic-Indic digit
+    "under.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2_0\n8e-08,3e-17\n",
+    "digit.csv": "t_s,x_m\n0.0,1e-17\n4e-08,\u0661\n8e-08,3e-17\n",
+    # a bad row after a blank line and a comment line, which are skipped
+    "late.csv": "t_s,x_m\n0.0,1e-17\n4e-08,2e-17\n\n# comment\n8e-08,abc\n",
 }
 
 
@@ -489,6 +493,15 @@ REFUSALS = [
      ["interferometer", "--arm-length", "-5"]),
     ("dense view of dim 5001 exceeds cap 4001",
      ["algebra", "--spin", "2500", "--dump-matrices", "p"]),
+    ("under.csv: not a t_s,x_m CSV: line 3: '4e-08,2_0'",
+     ["spectrum", "--input", "under.csv", "--arm-length", "40", "--segment-length", "2",
+      "--out", "p.csv"]),
+    ("digit.csv: not a t_s,x_m CSV: line 3: '4e-08,\u0661'",
+     ["spectrum", "--input", "digit.csv", "--arm-length", "40", "--segment-length", "2",
+      "--out", "p.csv"]),
+    ("late.csv: not a t_s,x_m CSV: line 6: '8e-08,abc'",
+     ["spectrum", "--input", "late.csv", "--arm-length", "40", "--segment-length", "2",
+      "--out", "p.csv"]),
 ]
 
 
@@ -497,7 +510,7 @@ REFUSALS = [
                          ids=[f"argv{i}" for i in range(len(REFUSALS))])
 def test_invalid_input_exit_1(expected, argv, tmp_path, monkeypatch, capsys, exit_contract):
     for name, text in BAD_INPUTS.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     assert run_in(tmp_path, monkeypatch, argv) == 1
     out, err = capsys.readouterr()
     exit_contract(1, out, err, [p for p in tmp_path.iterdir() if p.name not in BAD_INPUTS])
@@ -530,11 +543,12 @@ def test_spectrum_out_of_float_range_one_error_line(name, python, tmp_path, exit
     run_refusal_fresh(name, "error", python, tmp_path, exit_contract)
 
 
-@pytest.mark.parametrize("name", ["abc.csv", "ragged.csv", "blank.csv"])
+@pytest.mark.parametrize("name", ["abc.csv", "ragged.csv", "blank.csv", "under.csv",
+                                  "digit.csv"])
 def test_series_csv_malformed_row_names_the_file(name, tmp_path):
     # the reader names the file by the path it was given, here an absolute one
     path = tmp_path / name
-    path.write_text(BAD_INPUTS[name])
+    path.write_text(BAD_INPUTS[name], encoding="utf-8")
     with pytest.raises(QGeomError) as err:
         files.read_series(path)
     line = BAD_INPUTS[name].splitlines()[2]

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qgeom.bounds import compton_size
+from qgeom.constants import codata_scale, derive_planck_scale
 from qgeom.errors import QGeomError, positive
+
+BEYOND = "an int beyond the float range"
 
 
 @pytest.mark.parametrize("value, shown", [
@@ -20,6 +24,11 @@ from qgeom.errors import QGeomError, positive
     pytest.param(math.inf, "inf", id="python-inf"),
     (-0.0, "-0.0"),
     (0, "0"),
+    # an int that no float holds is named without its digits: str() refuses
+    # an int of more than 4,300 digits
+    pytest.param(10 ** 400, BEYOND, id="int-1e400"),
+    pytest.param(10 ** 5000, BEYOND, id="int-1e5000"),
+    pytest.param(-10 ** 400, BEYOND, id="int-minus-1e400"),
 ])
 def test_positive_refusal_names_the_value(value, shown):
     with pytest.raises(QGeomError) as exc:
@@ -31,3 +40,13 @@ def test_positive_refusal_names_the_value(value, shown):
                                    np.array([])])
 def test_positive_accepts(value):
     positive("x", value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: derive_planck_scale(hbar=10 ** 400), "hbar"),
+    (lambda: compton_size(10 ** 400, codata_scale()), "mass"),
+], ids=["derive_planck_scale", "compton_size"])
+def test_callers_refuse_an_int_beyond_the_float_range(call, name):
+    with pytest.raises(QGeomError) as exc:
+        call()
+    assert str(exc.value) == f"{name} must be positive and finite, got {BEYOND}"

@@ -236,6 +236,19 @@ def test_acf_matches_correlate(k_max):
     np.testing.assert_allclose(acf, reference, rtol=0.0, atol=1e-12 * reference[0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k_max", [noise._ACF_DIRECT_LAGS - 2, noise._ACF_DIRECT_LAGS])
+@pytest.mark.parametrize("bad", [math.nan, 1e200])
+def test_acf_refuses_what_float64_cannot_hold(bad, k_max):
+    # one NaN sample, or squares of 1e200 that overflow, on the direct-lag
+    # and on the FFT path; neither warns
+    x = np.random.default_rng(8).normal(3.0, 1.0, ACF_N)
+    x[ACF_N // 2] = bad
+    series = NoiseSeries(samples=x, sample_rate=1.0)
+    with pytest.raises(QGeomError, match="^autocorrelation of this series is not finite"):
+        autocorrelation(series, max_lag=float(k_max))
+
+
 @pytest.mark.parametrize("max_lag", [-1e-6, math.nan, math.inf, -math.inf])
 def test_acf_max_lag_invalid(max_lag):
     series = NoiseSeries(samples=np.random.default_rng(9).standard_normal(2500),
