@@ -63,11 +63,6 @@ def test_x3_spectrum_uniform(spin, scale):
     np.testing.assert_allclose(eig, expected, atol=1e-10 * scale.lam * max(spin, 1))
 
 
-@pytest.mark.parametrize("spin", SPINS + [100.0])
-def test_commutator_residual_small(spin, scale):
-    assert commutator_residual(build_representation(spin, scale)) < 1e-12
-
-
 @pytest.mark.parametrize("spin", [1.0, 3.0, 16.5, 1e3, 1e4 + 0.5, 1e5, (BAND_CAP - 1) / 2])
 def test_commutator_residual_grows_as_j_eps(spin, scale):
     # rounding of the squared ladder at the scale of j^2; C = 1 is the
@@ -188,19 +183,9 @@ def test_axis_not_a_unit_3_vector_refused(axis, scale):
         assert str(exc.value) == f"axis must be a unit 3-vector, got {axis!r}"
 
 
-def test_operator_formula_convergence(scale):
-    # lam^2 j over lam * lam sqrt(j(j+1)) lies within [1 - 1/(2j), 1]
-    for spin in (1.0, 5.0, 20.0, 100.0):
-        rep = build_representation(spin, scale)
-        state = highest_weight_state(rep)
-        ratio = (transverse_variance_operator(rep, state)
-                 / (scale.lam * radial_observable(rep)))
-        assert 1 - 1 / (2 * spin) <= ratio <= 1 + 1e-10
-
-
-@pytest.mark.parametrize("spin", [1.0e4, 1.0e6])
+@pytest.mark.parametrize("spin", [1.0, 5.0, 20.0, 100.0, 1.0e4, 1.0e6])
 def test_operator_formula_convergence_large_spin(spin, scale):
-    # criterion 4's bounds through the band operator path, far past the dense cap
+    # criterion 4's bounds on lam^2 j / (lam * lam sqrt(j(j+1))), through the band operators
     rep = build_representation(spin, scale)
     for axis in [(0, 0, 1), (0.6, 0, 0.8)]:
         state = highest_weight_state(rep, axis)
@@ -225,12 +210,6 @@ def test_transverse_variance_formula(scale):
         math.sqrt(40) * 2.135e-18, rel=1e-3)
     with pytest.raises(QGeomError, match="separation must be positive"):
         transverse_variance_formula(-1.0, scale)
-
-
-def test_variance_formulas_identity(scale):
-    for L in np.logspace(-3, 4, 30):
-        assert angular_variance_formula(L, scale) * L ** 2 == pytest.approx(
-            transverse_variance_formula(L, scale), rel=1e-15)
 
 
 def test_state_count_continuum(scale):

@@ -14,31 +14,15 @@ from qgeom.constants import codata_scale
 from qgeom.errors import QGeomError
 
 
+A_CFG = "label = a\narm_length_m = 40\nposition_m = 0,0,0\n"
+LAM = codata_scale().lam
+NOISE_ARGV = ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1e-5",
+              "--out", "s.csv"]
+
+
 def run_in(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return cli.run(argv)
-
-
-@pytest.mark.parametrize("spin", [50, 500])
-def test_algebra_check(spin, capsys):
-    assert cli.run(["algebra", "--spin", str(spin), "--check"]) == 0
-    out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    scale = codata_scale()
-    assert float(out["commutator_residual"]) < 1e-12
-    assert float(out["x3_max_m"]) == pytest.approx(spin * scale.lam, rel=1e-10)
-    assert float(out["x3_min_m"]) == pytest.approx(-spin * scale.lam, rel=1e-10)
-
-
-def test_algebra_dense_cap(tmp_path, monkeypatch):
-    # the bands have no dense cap; only the matrix dump does, which
-    # test_invalid_input_exit_1 refuses at this spin
-    assert run_in(tmp_path, monkeypatch, ["algebra", "--spin", "2500", "--check"]) == 0
-
-
-def test_algebra_json(capsys):
-    assert cli.run(["--json", "algebra", "--spin", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["dim"] == 3
 
 
 def test_algebra_matrix_dump(tmp_path, monkeypatch, capsys):
@@ -96,7 +80,7 @@ def write_input_series(path):
 
 @pytest.mark.parametrize("command", RERUN_ARGV)
 def test_noise_manifest_rerun_bitwise(command, tmp_path, monkeypatch):
-    (tmp_path / "a.cfg").write_text("label = a\narm_length_m = 40\nposition_m = 0,0,0\n")
+    (tmp_path / "a.cfg").write_text(A_CFG)
     (tmp_path / "b.cfg").write_text("label = b\narm_length_m = 40\nposition_m = 40,0,0\n")
     write_input_series(tmp_path / "in.csv")
     inputs = {p.name for p in tmp_path.iterdir()}
@@ -191,25 +175,10 @@ def test_spectrum_rows_are_the_segment_fold(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "psd.csv").read_text().splitlines() == ["f_hz,psd_m2_per_hz"] + rows
 
 
-def test_interferometer_spectrum_and_detectability(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "a.cfg"
-    cfg.write_text("label = a\narm_length_m = 40\nposition_m = 0,0,0\n")
-    rc = run_in(tmp_path, monkeypatch, [
-        "--json", "interferometer", "--config", str(cfg),
-        "--f-min", "0", "--f-max", "1e7", "--n-freq", "101",
-        "--out", "psd.csv", "--floor", "1e-41"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert float(doc["rms_m"]) == pytest.approx(1.350e-17, rel=1e-3)
-    assert float(doc["knee_hz"]) == pytest.approx(3.75e6, rel=2e-3)
-    assert doc["verdict"] in ("detect", "marginal", "exclude")
-    assert (tmp_path / "psd.csv").exists()
-
-
 def test_interferometer_cross(tmp_path, monkeypatch):
     a = tmp_path / "a.cfg"
     b = tmp_path / "b.cfg"
-    a.write_text("label = a\narm_length_m = 40\nposition_m = 0,0,0\n")
+    a.write_text(A_CFG)
     b.write_text("label = b\narm_length_m = 40\nposition_m = 40,0,0\n")
     rc = run_in(tmp_path, monkeypatch, [
         "interferometer", "--config", str(a), "--config-b", str(b),
@@ -221,12 +190,6 @@ def test_interferometer_cross(tmp_path, monkeypatch):
     cross = np.loadtxt(tmp_path / "cross.csv", delimiter=",", skiprows=1)
     auto = np.loadtxt(tmp_path / "auto.csv", delimiter=",", skiprows=1)
     np.testing.assert_allclose(cross[:, 1], 0.5 * auto[:, 1], rtol=1e-12)
-
-
-def test_bounds_point(capsys):
-    assert cli.run(["--json", "bounds", "--mass", "1.989e30"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert float(doc["schwarzschild_m"]) == pytest.approx(2953.0, rel=1e-3)
 
 
 def test_bounds_grid(tmp_path, monkeypatch):
@@ -274,11 +237,70 @@ def test_bounds_grid_at_float_limits(tmp_path, monkeypatch):
     assert rows[0].endswith(",0.0") and ",0.0," in rows[-1]
 
 
-def test_bounds_classify(capsys):
-    assert cli.run(["--json", "bounds", "--mass", "9.109e-31",
-                    "--size", "1e-15"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["regime"] == "forbidden_quantum"
+# every success report, as (setup argv or None, argv, {key: expected}): a plain value is
+# exact, a pytest.approx holds its tolerance (abs=0.0 below approx's default abs, 1e-12);
+# each runs as text and as --json, in fresh directories holding a.cfg and the setup's files
+REPORTS = [
+    *[(None, ["algebra", "--spin", str(spin), "--check"],
+       {"commutator_residual": pytest.approx(0.0, abs=1e-12),
+        "x3_max_m": pytest.approx(spin * LAM, rel=1e-10, abs=0.0),
+        "x3_min_m": pytest.approx(-spin * LAM, rel=1e-10, abs=0.0)}) for spin in (50, 500)],
+    # the bands have no dense cap; only the matrix dump has one, a REFUSALS row
+    (None, ["algebra", "--spin", "2500", "--check"],
+     {"dim": 5001, "commutator_residual": pytest.approx(0.0, abs=1e-12)}),
+    (None, ["algebra", "--spin", "1"], {"dim": 3}),
+    (None, ["algebra", "--spin", "2", "--check"], {"dim": 5}),
+    (None, NOISE_ARGV, {"samples": 250}),
+    (NOISE_ARGV, ["spectrum", "--input", "s.csv", "--arm-length", "40", "--segment-length",
+                  "16", "--out", "p.csv"], {"segments": 30}),
+    (None, ["interferometer", "--config", "a.cfg", "--f-min", "0", "--f-max", "1e7",
+            "--n-freq", "101", "--out", "psd.csv", "--floor", "1e-41"],
+     {"rms_m": pytest.approx(1.350e-17, rel=1e-3, abs=0.0),
+      "knee_hz": pytest.approx(3.75e6, rel=2e-3), "verdict": "detect"}),
+    (None, ["interferometer", "--arm-length", "40", "--floor", "1e-41"], {"verdict": "detect"}),
+    # floor * bandwidth and integration_time * bandwidth overflow, the proxy does not
+    (None, ["interferometer", "--arm-length", "40", "--floor", "1.2e16", "--band-lo", "40",
+            "--band-hi", "3.6e292", "--integration-time", "1e236"],
+     {"verdict": "exclude", "snr_proxy": pytest.approx(8.00983e-79, rel=1e-6, abs=0.0)}),
+    (None, ["bounds", "--mass", "1.989e30"], {"schwarzschild_m": pytest.approx(2953.0, rel=1e-3)}),
+    (None, ["bounds", "--mass", "9.109e-31", "--size", "1e-15"], {"regime": "forbidden_quantum"}),
+    (None, ["bounds", "--mass", "1.989e30", "--size", "1"], {"regime": "forbidden_blackhole"}),
+]
+
+
+@pytest.mark.parametrize("setup, argv, expected", REPORTS,
+                         ids=[f"argv{i}" for i in range(len(REPORTS))])
+def test_report_exit_0(setup, argv, expected, tmp_path, monkeypatch, capsys, exit_contract):
+    reports = []
+    for form in ([], ["--json"]):
+        directory = tmp_path / ("json" if form else "text")
+        directory.mkdir()
+        (directory / "a.cfg").write_text(A_CFG)
+        monkeypatch.chdir(directory)
+        if setup is not None:
+            assert cli.run(setup) == 0
+        inputs = set(directory.iterdir())
+        capsys.readouterr()
+        assert cli.run(form + argv) == 0
+        out, err = capsys.readouterr()
+        exit_contract(0, out, err, set(directory.iterdir()) - inputs)
+        reports.append(out)
+    # each number of the text report is a JSON number of the same digits
+    text = dict(line.split(" ", 1) for line in reports[0].splitlines())
+    doc = json.loads(reports[1])
+    assert list(doc) == list(text)
+    numbers = 0
+    for key, value in doc.items():
+        try:
+            float(text[key])
+        except ValueError:
+            assert value == text[key], key
+        else:
+            assert type(value) in (int, float) and text[key] == repr(value), key
+            numbers += 1
+    assert numbers >= 2
+    for key, want in expected.items():
+        assert doc[key] == want, key
 
 
 # input files the invalid-input cases read; each case runs with all of them
@@ -517,6 +539,13 @@ def test_invalid_input_exit_1(expected, argv, tmp_path, monkeypatch, capsys, exi
     assert err.startswith("error: " + expected)
 
 
+def test_every_command_has_reports_and_refusals():
+    # a new command fails here until each table holds a row that runs it
+    [commands] = [a.choices for a in cli._build_parser()._actions if a.dest == "command"]
+    for table in (REPORTS, REFUSALS):
+        assert set(commands) <= {getattr(row, "values", row)[1][0] for row in table}
+
+
 def run_refusal_fresh(name, warn, python, tmp_path, exit_contract):
     # the REFUSALS row that reads `name`, under -W warn in a fresh interpreter, since
     # pytest captures warnings; the row's error line is then the whole of stderr
@@ -613,39 +642,6 @@ def test_negative_value_read_alike_in_both_spellings(value, tmp_path, monkeypatc
     exit_contract(2, *capsys.readouterr(), tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("setup, argv", [
-    ([], ["algebra", "--spin", "2", "--check"]),
-    ([], ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1e-5",
-          "--out", "s.csv"]),
-    (["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1e-5", "--out", "s.csv"],
-     ["spectrum", "--input", "s.csv", "--arm-length", "40", "--segment-length", "16",
-      "--out", "p.csv"]),
-    ([], ["interferometer", "--arm-length", "40", "--floor", "1e-41"]),
-    ([], ["bounds", "--mass", "1.989e30", "--size", "1"]),
-])
-def test_json_report_holds_numbers(setup, argv, tmp_path, monkeypatch, capsys):
-    # each number of the text report is a JSON number of the same digits
-    if setup:
-        assert run_in(tmp_path, monkeypatch, setup) == 0
-        capsys.readouterr()
-    assert run_in(tmp_path, monkeypatch, argv) == 0
-    text = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    assert cli.run(["--json", *argv]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert list(doc) == list(text)
-    numbers = 0
-    for key, value in doc.items():
-        try:
-            number = float(text[key])
-        except ValueError:
-            assert value == text[key]
-            continue
-        assert type(value) in (int, float) and value == number, key
-        assert text[key] == repr(value), key
-        numbers += 1
-    assert numbers >= 2
-
-
 def test_unwritable_manifest_exit_1(tmp_path, monkeypatch, capsys):
     # the CSV is written before its manifest, so it stays: the one partial write
     (tmp_path / "d" / "x.csv.manifest.json").mkdir(parents=True)
@@ -701,20 +697,33 @@ def test_python_m_exit_codes(argv, code, python, tmp_path, exit_contract):
         assert proc.stdout.startswith("planck_length_m ") and proc.stderr == ""
 
 
+INTERFEROMETER_MODULES = ["numpy", "qgeom.algebra", "qgeom.interferometer", "qgeom.noise"]
+
+
 @pytest.mark.parametrize("argv, code, loaded", [
     (["bounds", "--mass", "1"], 0, ["qgeom.bounds"]),
     (["algebra", "--spin", "3"], 0, ["numpy", "qgeom.algebra"]),
     (["--help"], 0, []),
     (["bounds", "--mass"], 2, []),
     (["bounds", "--mass", "-1"], 1, ["qgeom.bounds"]),
-    (["interferometer", "--arm-length", "40", "--floor", "1e-41"], 0,
-     ["numpy", "qgeom.algebra", "qgeom.interferometer", "qgeom.noise"]),
+    (["interferometer", "--arm-length", "40", "--floor", "1e-41"], 0, INTERFEROMETER_MODULES),
+    (NOISE_ARGV, 0, ["numpy", "qgeom.algebra", "qgeom.noise"]),
+    (["spectrum", "--input", "s.csv", "--arm-length", "40", "--segment-length", "2",
+      "--out", "p.csv"], 0, ["numpy", "qgeom.algebra", "qgeom.noise"]),
+    (["interferometer", "--arm-length", "40", "--out", "m.csv"], 0, INTERFEROMETER_MODULES),
+    (["interferometer", "--config", "a.cfg", "--config-b", "a.cfg", "--out", "x.csv"], 0,
+     INTERFEROMETER_MODULES),
+    (["algebra", "--spin", "1", "--dump-matrices", "m"], 0, ["numpy", "qgeom.algebra"]),
+    (["bounds", "--grid-points", "3", "--out", "c.csv"], 0, ["numpy", "qgeom.bounds"]),
 ], ids=["argv0-qgeom.bounds", "argv1-qgeom.algebra", "help", "usage-error", "refusal",
-        "band-power"])
-def test_each_command_imports_only_its_module(argv, code, loaded, python):
+        "band-power", "noise-out", "spectrum", "model-out", "cross-spectrum", "matrix-dump",
+        "bounds-out"])
+def test_each_command_imports_only_its_module(argv, code, loaded, python, tmp_path):
     # the import loads no command module and no numpy; a command loads only
     # its own module and the ones it calls, numpy only where it forms an
     # array, and nothing, not even the band-power quadrature, loads scipy
+    (tmp_path / "a.cfg").write_text(A_CFG)
+    (tmp_path / "s.csv").write_text(BAD_INPUTS["ok.csv"])
     script = ("import sys\n"
               "from qgeom import cli\n"
               "names = {'numpy', 'scipy', 'qgeom.algebra', 'qgeom.bounds',\n"
@@ -722,7 +731,7 @@ def test_each_command_imports_only_its_module(argv, code, loaded, python):
               "before = sorted(names & set(sys.modules))\n"
               f"code = cli.run({argv!r})\n"
               "print(code, before, sorted(names & set(sys.modules)))\n")
-    proc = python("-c", script)
+    proc = python("-c", script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{code} [] {loaded!r}"
 
@@ -855,16 +864,6 @@ def test_rerun_of_non_utf8_manifest_cannot_read(tmp_path):
     path.write_bytes(b'{"command": "\xff"}')
     with pytest.raises(QGeomError, match=r"bad\.json: cannot read: "):
         cli.rerun_from_manifest(path)
-
-
-def test_detectability_radiometer_products_overflow(capsys):
-    # floor * bandwidth and integration_time * bandwidth overflow, the proxy does not
-    assert cli.run(["interferometer", "--arm-length", "40", "--floor", "1.2e16",
-                    "--band-lo", "40", "--band-hi", "3.6e292",
-                    "--integration-time", "1e236"]) == 0
-    out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    assert 0.0 < float(out["snr_proxy"]) < math.inf
-    assert out["verdict"] == "exclude"
 
 
 def reference_csv(header, rows):
