@@ -33,12 +33,20 @@ SINC2_MPMATH = {
 }
 
 
+WIDE_BANDS = [(1e8, 1e10), (1e9, 1e12)]
 # one float of f apart: the x ends are one float apart, then the same float
 NARROW_BANDS = [(1e11, 100000000000.00002), (130567005798.4, 130567005798.40001)]
 
 
 def trapezoid(y, x):
     return np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2
+
+
+def snr_oracle(scale, band):
+    # the snr_proxy of detectability(cfg40, 1e-41, band, 3600.0, scale)
+    width = band[1] - band[0]
+    power = 2 * scale.lam * 40.0 * float(SINC2_MPMATH[band])
+    return power / (1e-41 * width) * math.sqrt(3600.0 * width)
 
 
 @pytest.fixture
@@ -199,15 +207,18 @@ def test_detectability_regression(scale, cfg40):
     assert report.verdict == "detect"
 
 
-@pytest.mark.parametrize("band", SINC2_MPMATH)
+@pytest.mark.parametrize("band", WIDE_BANDS)
+def test_detectability_wide_band(band, scale, cfg40):
+    report = itf.detectability(cfg40, 1e-41, band, 3600.0, scale)
+    assert report.snr_proxy == pytest.approx(snr_oracle(scale, band), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("band", [b for b in SINC2_MPMATH if b not in WIDE_BANDS])
 def test_band_power_mpmath(band, scale, cfg40):
     # from DC, narrow and far from DC (where two Si antiderivatives
     # cancel), and wider than any quadrature could cover period by period
-    width = band[1] - band[0]
-    power = 2 * scale.lam * 40.0 * float(SINC2_MPMATH[band])
-    want = power / (1e-41 * width) * math.sqrt(3600.0 * width)
     report = itf.detectability(cfg40, 1e-41, band, 3600.0, scale)
-    assert report.snr_proxy == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert report.snr_proxy == pytest.approx(snr_oracle(scale, band), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("band", NARROW_BANDS)
