@@ -11,6 +11,33 @@ import qgeom
 from qgeom.constants import codata_scale
 
 
+def _largest_magnitude(expected):
+    if isinstance(expected, dict):
+        expected = list(expected.values())
+    if hasattr(expected, "ndim"):  # a numpy array or scalar
+        return float(abs(expected).max()) if expected.size else 0.0
+    if isinstance(expected, (list, tuple)):
+        return max(map(_largest_magnitude, expected), default=0.0)
+    try:
+        return abs(complex(expected))
+    except (TypeError, ValueError):
+        return 0.0
+
+
+def pytest_configure(config):
+    # approx keeps an absolute tolerance of 1e-12 unless given `abs`, so below
+    # that any value passes: such a comparison must name its own `abs`
+    approx = pytest.approx
+
+    def strict_approx(expected, rel=None, abs=None, nan_ok=False):
+        if abs is None and 0.0 < _largest_magnitude(expected) < 1e-12:
+            raise ValueError(f"pytest.approx({expected!r}) without abs passes any value "
+                             "below 1e-12; give abs=0.0 or a bound")
+        return approx(expected, rel=rel, abs=abs, nan_ok=nan_ok)
+
+    pytest.approx = strict_approx
+
+
 @pytest.fixture(scope="session")
 def scale():
     return codata_scale()

@@ -103,15 +103,15 @@ def test_band_cap(scale):
 def test_radial_observable(scale):
     rep = build_representation(0.5, scale)
     assert radial_observable(rep) == pytest.approx(
-        scale.lam * math.sqrt(3) / 2, rel=1e-12)
-    assert radial_observable(rep) == pytest.approx(3.948e-36, rel=5e-4)
+        scale.lam * math.sqrt(3) / 2, rel=1e-12, abs=0.0)
+    assert radial_observable(rep) == pytest.approx(3.948e-36, rel=5e-4, abs=0.0)
     assert radial_observable(build_representation(0, scale)) == 0.0
 
 
 def test_radial_observable_large_spin(scale):
     j = 1.0e6
     assert radial_observable(build_representation(j, scale)) == pytest.approx(
-        scale.lam * math.sqrt(j * (j + 1)), rel=1e-14)
+        scale.lam * math.sqrt(j * (j + 1)), rel=1e-14, abs=0.0)
 
 
 def test_highest_weight_along_z(scale):
@@ -129,7 +129,7 @@ def test_highest_weight_eigenvalue(axis, scale):
     proj = (axis[0] * rep.components[0] + axis[1] * rep.components[1]
             + axis[2] * rep.components[2])
     val = np.real(state.conj() @ (proj @ state))
-    assert val == pytest.approx(scale.lam, rel=1e-10)
+    assert val == pytest.approx(scale.lam, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("spin", [0.5, 1.0, 10.0, 100.0])
@@ -149,7 +149,7 @@ def test_transverse_variance_operator(scale):
         rep = build_representation(spin, scale)
         state = highest_weight_state(rep, (0, 0, 1))
         var = transverse_variance_operator(rep, state, (0, 0, 1))
-        assert var == pytest.approx(scale.lam ** 2 * spin, rel=1e-10)
+        assert var == pytest.approx(scale.lam ** 2 * spin, rel=1e-10, abs=0.0)
 
 
 def test_transverse_variance_axis_independent(scale):
@@ -195,19 +195,19 @@ def test_operator_formula_convergence_large_spin(spin, scale):
 
 
 def test_angular_variance_formula(scale):
-    assert angular_variance_formula(1.0, scale) == pytest.approx(4.559e-36, rel=5e-4)
+    assert angular_variance_formula(1.0, scale) == pytest.approx(4.559e-36, rel=5e-4, abs=0.0)
     assert angular_variance_formula(scale.lam, scale) == pytest.approx(1.0, rel=1e-12)
     assert angular_variance_formula(2.0, scale) == pytest.approx(
-        angular_variance_formula(1.0, scale) / 2, rel=1e-14)
+        angular_variance_formula(1.0, scale) / 2, rel=1e-14, abs=0.0)
     with pytest.raises(QGeomError, match="separation must be positive"):
         angular_variance_formula(0.0, scale)
 
 
 def test_transverse_variance_formula(scale):
     assert transverse_variance_formula(1.0, scale) == pytest.approx(
-        (2.135e-18) ** 2, rel=1e-3)
+        (2.135e-18) ** 2, rel=1e-3, abs=0.0)
     assert math.sqrt(transverse_variance_formula(40.0, scale)) == pytest.approx(
-        math.sqrt(40) * 2.135e-18, rel=1e-3)
+        math.sqrt(40) * 2.135e-18, rel=1e-3, abs=0.0)
     with pytest.raises(QGeomError, match="separation must be positive"):
         transverse_variance_formula(-1.0, scale)
 

@@ -14,17 +14,17 @@ M_SUN = 1.989e30
 
 def test_compton_size(scale):
     assert bounds.compton_size(M_ELECTRON, scale) == pytest.approx(
-        scale.hbar / (M_ELECTRON * scale.c), rel=1e-14)
-    assert bounds.compton_size(M_ELECTRON, scale) == pytest.approx(3.862e-13, rel=1e-3)
+        scale.hbar / (M_ELECTRON * scale.c), rel=1e-14, abs=0.0)
+    assert bounds.compton_size(M_ELECTRON, scale) == pytest.approx(3.862e-13, rel=1e-3, abs=0.0)
     assert bounds.compton_size(scale.planck_mass, scale) == pytest.approx(
-        scale.planck_length, rel=1e-12)
+        scale.planck_length, rel=1e-12, abs=0.0)
     assert bounds.compton_size(2.0, scale) == pytest.approx(
-        bounds.compton_size(1.0, scale) / 2, rel=1e-14)
+        bounds.compton_size(1.0, scale) / 2, rel=1e-14, abs=0.0)
 
 
 def test_compton_full_convention(scale):
     assert bounds.compton_size(1.0, scale, reduced=False) == pytest.approx(
-        2 * math.pi * bounds.compton_size(1.0, scale), rel=1e-14)
+        2 * math.pi * bounds.compton_size(1.0, scale), rel=1e-14, abs=0.0)
 
 
 def test_schwarzschild_radius(scale):
@@ -32,9 +32,9 @@ def test_schwarzschild_radius(scale):
         2 * scale.G * M_SUN / scale.c ** 2, rel=1e-14)
     assert bounds.schwarzschild_radius(M_SUN, scale) == pytest.approx(2.95e3, rel=2e-3)
     assert bounds.schwarzschild_radius(scale.planck_mass, scale) == pytest.approx(
-        2 * scale.planck_length, rel=1e-12)
+        2 * scale.planck_length, rel=1e-12, abs=0.0)
     assert bounds.schwarzschild_radius(2.0, scale) == pytest.approx(
-        2 * bounds.schwarzschild_radius(1.0, scale), rel=1e-14)
+        2 * bounds.schwarzschild_radius(1.0, scale), rel=1e-14, abs=0.0)
 
 
 def test_invalid_mass(scale):
@@ -48,7 +48,7 @@ def test_invalid_mass(scale):
 def test_intersection_scale(scale):
     # analytic oracle: r^2 = 2 hbar G / c^3
     oracle = math.sqrt(2 * scale.hbar * scale.G / scale.c ** 3)
-    assert bounds.intersection_scale(scale) == pytest.approx(oracle, rel=1e-12)
+    assert bounds.intersection_scale(scale) == pytest.approx(oracle, rel=1e-12, abs=0.0)
     ratio = bounds.intersection_scale(scale) / scale.planck_length
     assert ratio == pytest.approx(math.sqrt(2), rel=1e-12)
     assert 1.0 <= ratio <= 2.0
@@ -57,7 +57,8 @@ def test_intersection_scale(scale):
 def test_intersection_scale_full_convention(scale):
     # 2 pi hbar/(m c) = 2 G m/c^2 at r^2 = 4 pi hbar G / c^3
     oracle = math.sqrt(4 * math.pi * scale.hbar * scale.G / scale.c ** 3)
-    assert bounds.intersection_scale(scale, reduced=False) == pytest.approx(oracle, rel=1e-12)
+    assert bounds.intersection_scale(scale, reduced=False) == pytest.approx(
+        oracle, rel=1e-12, abs=0.0)
 
 
 def test_intersection_scale_at_large_G():
@@ -117,8 +118,11 @@ def test_classify_metamorphic():
 
 def test_unique_crossing(scale):
     masses = np.logspace(-20, 10, 1000)
-    diff = bounds.compton_size(masses, scale) - bounds.schwarzschild_radius(masses, scale)
-    assert np.count_nonzero(np.diff(np.sign(diff))) == 1
+    compton = bounds.compton_size(masses, scale)
+    schwarzschild = bounds.schwarzschild_radius(masses, scale)
+    # the Compton line falls and the Schwarzschild line rises
+    assert np.all(np.diff(compton) < 0) and np.all(np.diff(schwarzschild) > 0)
+    assert np.count_nonzero(np.diff(np.sign(compton - schwarzschild))) == 1
 
 
 GRID = np.logspace(-30, 40, 1000)

@@ -15,7 +15,8 @@ from qgeom.errors import QGeomError
 
 
 A_CFG = "label = a\narm_length_m = 40\nposition_m = 0,0,0\n"
-LAM = codata_scale().lam
+SCALE = codata_scale()
+LAM = SCALE.lam
 NOISE_ARGV = ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1e-5",
               "--out", "s.csv"]
 
@@ -23,33 +24,6 @@ NOISE_ARGV = ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "1
 def run_in(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return cli.run(argv)
-
-
-def test_algebra_matrix_dump(tmp_path, monkeypatch, capsys):
-    assert run_in(tmp_path, monkeypatch,
-                  ["algebra", "--spin", "0.5", "--dump-matrices", "rep"]) == 0
-    data = np.loadtxt(tmp_path / "rep_x3.csv", delimiter=",", skiprows=1)
-    scale = codata_scale()
-    # rows are (row, col, re, im)
-    diag = {(int(r), int(c)): re for r, c, re, im in data}
-    assert diag[(0, 0)] == pytest.approx(scale.lam / 2, rel=1e-12)
-    assert diag[(1, 1)] == pytest.approx(-scale.lam / 2, rel=1e-12)
-    assert (tmp_path / "rep_x1.csv.manifest.json").exists()
-
-
-def test_noise_run_and_rms(tmp_path, monkeypatch, capsys):
-    rc = run_in(tmp_path, monkeypatch, [
-        "noise", "--arm-length", "40", "--rate", "2.5e7",
-        "--duration", "0.1", "--seed", "7", "--out", "series.csv"])
-    assert rc == 0
-    with open(tmp_path / "series.csv") as fh:
-        header = fh.readline().strip()
-        rows = sum(1 for _ in fh)
-    assert header == "t_s,x_m"
-    assert rows == 2_500_000
-    data = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)
-    rms = math.sqrt(np.mean(data[:, 1] ** 2))
-    assert rms == pytest.approx(1.350e-17, rel=0.05)
 
 
 # every command that writes files; the spectrum and interferometer cases
@@ -74,7 +48,7 @@ RERUN_ARGV = {
 
 def write_input_series(path):
     # 25,000 samples of the 40 m process at 2.5e7 Hz, as t_s,x_m rows
-    series = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, codata_scale())
+    series = noise.generate_timeseries(40.0, 2.5e7, 0.001, 3, SCALE)
     files.write_table(*files.series_table(path, series))
 
 
@@ -140,22 +114,6 @@ def test_seed_default_ignores_environment(env_seed, tmp_path, monkeypatch):
     assert manifest["seed"] == 0
 
 
-def test_spectrum_pipeline(tmp_path, monkeypatch):
-    assert run_in(tmp_path, monkeypatch, [
-        "noise", "--arm-length", "40", "--rate", "2.5e7",
-        "--duration", "0.01", "--seed", "3", "--out", "series.csv"]) == 0
-    assert cli.run(["spectrum", "--input", "series.csv", "--arm-length", "40",
-                    "--segment-length", "4096", "--out", "spec.csv"]) == 0
-    data = np.loadtxt(tmp_path / "spec.csv", delimiter=",", skiprows=1)
-    with open(tmp_path / "spec.csv") as fh:
-        assert fh.readline().strip() == "f_hz,psd_m2_per_hz"
-    f, psd = data[:, 0], data[:, 1]
-    assert np.all(psd >= 0)
-    df = f[1] - f[0]
-    scale = codata_scale()
-    assert np.sum(psd) * df == pytest.approx(scale.lam * 40, rel=0.10)
-
-
 def test_spectrum_rows_are_the_segment_fold(tmp_path, monkeypatch, capsys):
     # past 256 segments the PSD is still the periodograms added to one
     # running sum in segment order, written as repr of each value
@@ -175,36 +133,6 @@ def test_spectrum_rows_are_the_segment_fold(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "psd.csv").read_text().splitlines() == ["f_hz,psd_m2_per_hz"] + rows
 
 
-def test_interferometer_cross(tmp_path, monkeypatch):
-    a = tmp_path / "a.cfg"
-    b = tmp_path / "b.cfg"
-    a.write_text(A_CFG)
-    b.write_text("label = b\narm_length_m = 40\nposition_m = 40,0,0\n")
-    rc = run_in(tmp_path, monkeypatch, [
-        "interferometer", "--config", str(a), "--config-b", str(b),
-        "--f-min", "0", "--f-max", "1e7", "--n-freq", "11", "--out", "cross.csv"])
-    assert rc == 0
-    auto_rc = cli.run(["interferometer", "--config", str(a), "--f-min", "0",
-                       "--f-max", "1e7", "--n-freq", "11", "--out", "auto.csv"])
-    assert auto_rc == 0
-    cross = np.loadtxt(tmp_path / "cross.csv", delimiter=",", skiprows=1)
-    auto = np.loadtxt(tmp_path / "auto.csv", delimiter=",", skiprows=1)
-    np.testing.assert_allclose(cross[:, 1], 0.5 * auto[:, 1], rtol=1e-12)
-
-
-def test_bounds_grid(tmp_path, monkeypatch):
-    rc = run_in(tmp_path, monkeypatch, [
-        "bounds", "--grid-min", "1e-20", "--grid-max", "1e10",
-        "--grid-points", "50", "--out", "curves.csv"])
-    assert rc == 0
-    with open(tmp_path / "curves.csv") as fh:
-        assert fh.readline().strip() == "mass_kg,compton_m,schwarzschild_m"
-    data = np.loadtxt(tmp_path / "curves.csv", delimiter=",", skiprows=1)
-    assert data.shape == (50, 3)
-    # compton falls, schwarzschild rises
-    assert np.all(np.diff(data[:, 1]) < 0) and np.all(np.diff(data[:, 2]) > 0)
-
-
 def _counted(line, sizes):
     def wrapper(mass, *args, **kwargs):
         sizes.append(np.size(mass))
@@ -220,21 +148,6 @@ def test_bounds_grid_one_call_per_line(tmp_path, monkeypatch):
                                           "--out", "c.csv"]) == 0
     assert calls["compton_size"] == [5000]
     assert calls["schwarzschild_radius"] == [5000]
-
-
-@pytest.mark.filterwarnings("error")
-def test_bounds_grid_at_float_limits(tmp_path, monkeypatch):
-    # ħ/(mc) and 2Gm/c² underflow to 0.0 at the ends, with no overflow warning;
-    # a grid end that rounds up to inf is a row of test_invalid_input_exit_1
-    assert run_in(tmp_path, monkeypatch, ["bounds", "--grid-min", "1e-320",
-                                          "--grid-max", "1e308", "--out", "c.csv"]) == 0
-    masses = np.logspace(math.log10(1e-320), 308.0, 1000)
-    scale = codata_scale()
-    per_mass = [[m, bounds.compton_size(m, scale), bounds.schwarzschild_radius(m, scale)]
-                for m in masses.tolist()]
-    rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
-    assert rows == [",".join(map(repr, row)) for row in per_mass]
-    assert rows[0].endswith(",0.0") and ",0.0," in rows[-1]
 
 
 # every success report, as (setup argv or None, argv, {key: expected}): a plain value is
@@ -871,77 +784,86 @@ def reference_csv(header, rows):
                                    for row in rows)
 
 
-def csv_kinds():
-    """(name, header, columns, reference rows) for every CSV the CLI writes."""
-    scale = codata_scale()
-    # more rows than one chunk, so the series is written in several chunks
-    series = noise.generate_timeseries(40.0, 2.5e7, 0.003, seed=5, scale=scale)
-    assert len(series.samples) > files.CSV_CHUNK_ROWS
-    times = np.arange(len(series.samples)) / 2.5e7
-    spec = noise.power_spectrum(series, 4096)
-    a = interferometer.InterferometerConfig(arm_length=40.0)
-    b = interferometer.InterferometerConfig(arm_length=40.0, position=(30.0, 0.0, 0.0))
-    freqs = np.linspace(0.0, 2.0e7, 2001)
-    model = interferometer.predict_output_psd(a, freqs, scale)
-    cross = interferometer.cross_spectrum(a, b, freqs, scale)
-    masses = np.logspace(-30, 40, 1000)
-    compton = np.array([bounds.compton_size(m, scale) for m in masses])
-    schwarzschild = np.array([bounds.schwarzschild_radius(m, scale) for m in masses])
-    mat = algebra.build_representation(3.0, scale).components[0]
-    dim = mat.shape[0]
+# the default --f-min, --f-max and --n-freq, and the apparatus of a.cfg and b.cfg
+GRID = np.linspace(0.0, 2.0e7, 2001)
+A, B = (interferometer.InterferometerConfig(40.0, position=(x, 0.0, 0.0)) for x in (0.0, 30.0))
+
+
+def series_rows(n, seed):
+    x = noise.generate_timeseries(40.0, 2.5e7, n / 2.5e7, seed, SCALE).samples
+    assert len(x) == n
+    return zip(np.arange(n) / 2.5e7, x)
+
+
+def spectrum_rows(path, segment_length):
+    est = noise.power_spectrum(files.read_series(path), segment_length)
+    return zip(est.frequencies, est.psd)
+
+
+def bounds_rows(grid_min, grid_max):
+    # one Python float at a time, so the CLI's array path is held to the scalar path
+    masses = np.logspace(math.log10(grid_min), math.log10(grid_max), 1000).tolist()
+    return ((m, bounds.compton_size(m, SCALE), bounds.schwarzschild_radius(m, SCALE))
+            for m in masses)
+
+
+def dump_rows(spin, k):
+    mat = algebra.build_representation(spin, SCALE).components[k]
     row, col = np.indices(mat.shape, dtype=float).reshape(2, -1)
-    # a dump of x2 at spin 200 shaped like the CLI's: 160,801 rows in three chunks
-    big = algebra.build_representation(200.0, scale).components[1]
-    dump = (*np.indices(big.shape, dtype=float).reshape(2, -1), big.real.ravel(),
-            big.imag.ravel())
-    assert big.size > 2 * files.CSV_CHUNK_ROWS
-    return [
-        ("series", "t_s,x_m", (times, series.samples), zip(times, series.samples)),
-        ("spectrum", "f_hz,psd_m2_per_hz", (spec.frequencies, spec.psd),
-         zip(spec.frequencies, spec.psd)),
-        ("model", "f_hz,psd_m2_per_hz", (freqs, model), zip(freqs, model)),
-        ("cross", "f_hz,psd_m2_per_hz", (freqs, cross), zip(freqs, cross)),
-        ("bounds", "mass_kg,compton_m,schwarzschild_m", (masses, compton, schwarzschild),
-         ((m, bounds.compton_size(m, scale), bounds.schwarzschild_radius(m, scale))
-          for m in masses)),
-        ("matrix", "row,col,re,im", (row, col, mat.real.ravel(), mat.imag.ravel()),
-         ((r, c, mat[r, c].real, mat[r, c].imag) for r in range(dim) for c in range(dim))),
-        ("matrix dump", "row,col,re,im", dump, zip(*dump)),
-    ]
+    return zip(row, col, mat.real.ravel(), mat.imag.ravel())
 
 
-def cli_kinds():
-    """(argv, {file: reference text}) for files that the commands' own chunk
-    functions supply, against references built from whole arrays."""
-    scale = codata_scale()
+PSD = "f_hz,psd_m2_per_hz"
+CURVES = "mass_kg,compton_m,schwarzschild_m"
+# every CSV the CLI writes, as (setup argv or None, argv, {file: (header, reference rows)});
+# each runs in a fresh directory holding a.cfg and b.cfg, and each file must be the
+# reference_csv of rows that library calls give in that directory after the run
+CSV_TABLE = [
     # a wrong bound on the last chunk shows at exactly two chunks or one row past
-    for n in (2 * files.CSV_CHUNK_ROWS, 2 * files.CSV_CHUNK_ROWS + 1):
-        x = noise.generate_timeseries(40.0, 2.5e7, n / 2.5e7, 11, scale).samples
-        assert len(x) == n
-        yield (["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration",
-                repr(n / 2.5e7), "--seed", "11", "--out", f"s{n}.csv"],
-               {f"s{n}.csv": reference_csv("t_s,x_m", zip(np.arange(n) / 2.5e7, x))})
-    mats = algebra.build_representation(200.0, scale).components
-    row, col = np.indices(mats[0].shape, dtype=float).reshape(2, -1)
-    yield (["algebra", "--spin", "200", "--dump-matrices", "m"],
-           {f"m_{name}.csv": reference_csv("row,col,re,im", zip(
-               row, col, mat.real.ravel(), mat.imag.ravel()))
-            for name, mat in zip(("x1", "x2", "x3"), mats)})
+    *[(None, ["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", repr(n / 2.5e7),
+              "--seed", "11", "--out", "s.csv"],
+       {"s.csv": ("t_s,x_m", lambda n=n: series_rows(n, 11))})
+      for n in (2 * files.CSV_CHUNK_ROWS, 2 * files.CSV_CHUNK_ROWS + 1)],
+    # a series of four chunks, written and read back
+    (["noise", "--arm-length", "40", "--rate", "2.5e7", "--duration", "0.01", "--seed", "3",
+      "--out", "series.csv"],
+     ["spectrum", "--input", "series.csv", "--arm-length", "40", "--segment-length", "4096",
+      "--out", "spec.csv"],
+     {"spec.csv": (PSD, lambda: spectrum_rows("series.csv", 4096))}),
+    (None, ["interferometer", "--arm-length", "40", "--out", "m.csv"],
+     {"m.csv": (PSD, lambda: zip(GRID, interferometer.predict_output_psd(A, GRID, SCALE)))}),
+    (None, ["interferometer", "--config", "a.cfg", "--config-b", "b.cfg", "--out", "x.csv"],
+     {"x.csv": (PSD, lambda: zip(GRID, interferometer.cross_spectrum(A, B, GRID, SCALE)))}),
+    (None, ["bounds", "--out", "c.csv"], {"c.csv": (CURVES, lambda: bounds_rows(1e-30, 1e40))}),
+    # both lines underflow to 0.0 at the ends, unwarned; a grid end that rounds up to inf
+    # is a REFUSALS row
+    (None, ["bounds", "--grid-min", "1e-320", "--grid-max", "1e308", "--out", "c.csv"],
+     {"c.csv": (CURVES, lambda: bounds_rows(1e-320, 1e308))}),
+    # 160,801 rows, three chunks, per matrix
+    (None, ["algebra", "--spin", "200", "--dump-matrices", "m"],
+     {f"m_{name}.csv": ("row,col,re,im", lambda k=k: dump_rows(200.0, k))
+      for k, name in enumerate(("x1", "x2", "x3"))}),
+]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("max_workers", [1, 2])
 def test_write_csv_bytes_match_reference(max_workers, tmp_path, monkeypatch):
     monkeypatch.setattr(files, "CSV_MAX_WORKERS", max_workers)
-    for name, header, columns, rows in csv_kinds():
-        path = tmp_path / f"{name}.csv"
-        files.write_table(path, header, len(columns[0]),
-                          lambda s, e: [c[s:e] for c in columns])
-        # compared as lists of lines, which pytest diffs quickly when they differ
-        assert path.read_text().split("\n") == reference_csv(header, rows).split("\n"), name
-    for argv, references in cli_kinds():
-        assert run_in(tmp_path, monkeypatch, argv) == 0
-        for name, text in references.items():
-            assert (tmp_path / name).read_text().split("\n") == text.split("\n"), name
+    for i, (setup, argv, expected) in enumerate(CSV_TABLE):
+        directory = tmp_path / f"argv{i}"
+        directory.mkdir()
+        (directory / "a.cfg").write_text(A_CFG)
+        (directory / "b.cfg").write_text("label = b\narm_length_m = 40\nposition_m = 30,0,0\n")
+        monkeypatch.chdir(directory)
+        if setup is not None:
+            assert cli.run(setup) == 0
+        assert cli.run(argv) == 0, argv
+        for name, (header, rows) in expected.items():
+            # compared as lists of lines, which pytest diffs quickly when they differ
+            text = reference_csv(header, rows())
+            assert (directory / name).read_text().split("\n") == text.split("\n"), name
+        assert (directory / f"{next(iter(expected))}.manifest.json").exists(), argv
 
 
 def _write_long_csv(path):

@@ -14,14 +14,14 @@ from qgeom.errors import QGeomError
 
 def test_planck_length_anchor():
     s = derive_planck_scale(hbar=1.0546e-34, G=6.674e-11, c=2.998e8)
-    assert s.planck_length == pytest.approx(1.616e-35, rel=5e-4)
+    assert s.planck_length == pytest.approx(1.616e-35, rel=5e-4, abs=0.0)
 
 
 def test_lambda_oracle():
     # oracle: published planck length divided by sqrt(4 pi), evaluated separately
     s = derive_planck_scale(hbar=1.0546e-34, G=6.674e-11, c=2.998e8)
-    assert s.lam == pytest.approx(1.616e-35 / math.sqrt(4 * math.pi), rel=5e-4)
-    assert s.lam == pytest.approx(4.559e-36, rel=5e-4)
+    assert s.lam == pytest.approx(1.616e-35 / math.sqrt(4 * math.pi), rel=5e-4, abs=0.0)
+    assert s.lam == pytest.approx(4.559e-36, rel=5e-4, abs=0.0)
 
 
 def test_planck_mass_oracle():
@@ -33,10 +33,10 @@ def test_planck_mass_oracle():
 
 def test_internal_consistency(scale):
     assert scale.planck_length == pytest.approx(
-        math.sqrt(scale.hbar * scale.G / scale.c ** 3), rel=1e-12)
+        math.sqrt(scale.hbar * scale.G / scale.c ** 3), rel=1e-12, abs=0.0)
     assert scale.c * scale.planck_time / scale.planck_length == pytest.approx(1.0)
     assert scale.lam == pytest.approx(
-        scale.planck_length / math.sqrt(4 * math.pi), rel=1e-12)
+        scale.planck_length / math.sqrt(4 * math.pi), rel=1e-12, abs=0.0)
     assert all(v > 0 for v in (scale.hbar, scale.G, scale.c, scale.planck_length,
                                scale.planck_time, scale.planck_mass, scale.lam))
 
@@ -77,7 +77,8 @@ def test_planck_scale_out_of_float_range_rejected(constants):
 def test_planck_mass_beyond_its_square():
     # hbar c / G underflows to 0 at G = 1e300, but the mass itself is a float
     s = derive_planck_scale(G=1e300)
-    assert s.planck_mass == pytest.approx(math.sqrt(s.hbar * s.c) / math.sqrt(s.G), rel=1e-12)
+    assert s.planck_mass == pytest.approx(
+        math.sqrt(s.hbar * s.c) / math.sqrt(s.G), rel=1e-12, abs=0.0)
     assert s.planck_mass > 0.0
 
 
