@@ -11,14 +11,15 @@ The boxcar is one running sum over the white draws, O(n) whatever the
 window: each window's sum is the last one, plus the sample that enters,
 minus the one that leaves.
 
-RNG is Philox (4x64, counter-based) via numpy. For one numpy version,
-identical inputs give a bitwise-identical series and Welch PSD on every
-CPU: neither calls BLAS. The tests check the series' bits under other
-CPUs' OpenBLAS code (OPENBLAS_CORETYPE) and with numpy's AVX-512
-dispatch off. The autocorrelation takes BLAS dot products, whose code
-numpy's OpenBLAS picks from the CPU, so its bits are per CPU, to about
-1e-14 of acf[0]. Ensemble stream k is derived from (master_seed, k)
-with :func:`derive_stream_seed`.
+RNG is Philox (4x64, counter-based) via numpy. Neither synthesis nor
+Welch calls BLAS, so for one numpy version a series has the same bits on
+every CPU, and so does its Welch PSD wherever libm's `cos` gives the
+Hann window the same bits: glibc's FMA variant changes one weight at
+8192 samples per segment. `CPU_SETTINGS` in tests/test_golden.py
+measures which outputs keep their bits. The autocorrelation takes BLAS
+dot products, whose code numpy's OpenBLAS picks from the CPU, so its
+bits are per CPU, to about 1e-14 of acf[0]. Ensemble stream k is derived
+from (master_seed, k) with :func:`derive_stream_seed`.
 """
 
 from __future__ import annotations
@@ -240,9 +241,13 @@ def analytic_psd(L: float, f, scale: PlanckScale):
     2*lam*L*tau_c*sinc^2(f*tau_c) for f > 0 and lam*L*tau_c at f = 0, with
     the coherence window tau_c = 2L/c (standard one-sided convention, DC
     undoubled); integrates to the process variance lam*L over [0, inf).
+    A negative frequency is refused, as :func:`band_power` refuses f_lo < 0.
     """
     tau_c = coherence_time(L, scale)
     f_arr = np.asarray(f, dtype=float)
+    # a one-sided PSD has no negative frequencies; -0.0 is DC
+    if (f_arr < 0.0).any():
+        raise QGeomError(f"model PSD needs frequencies >= 0, got {float(f_arr.min())!r} Hz")
     # where pi f tau_c or lam L tau_c (as L^2) overflows, the grid is refused
     with np.errstate(over="ignore", invalid="ignore"):
         base = transverse_variance_formula(L, scale) * tau_c * np.sinc(f_arr * tau_c) ** 2

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from exact_refs import planck_scale, relative_error, ulps
 from qgeom.constants import _root_of_powers, codata_scale, derive_planck_scale
 from qgeom.errors import QGeomError
+from test_golden import CPU_SETTINGS
 
 
 def test_planck_length_anchor():
@@ -135,8 +136,6 @@ def test_planck_roots_keep_their_recorded_bits():
     assert digest.hexdigest() == ROOTS_SHA256
 
 
-GLIBC_FMA_OFF = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX2_Usable,-FMA_Usable"
-
 # reads hbar, G and c as hex floats, a triple a line; prints length and mass in hex
 ROOTS_SCRIPT = """
 import sys
@@ -155,7 +154,7 @@ def test_planck_scale_bits_do_not_depend_on_libm_pow(python):
     rng = np.random.default_rng(12345)
     constants = (10.0 ** rng.uniform(-60.0, 60.0, size=(20000, 3))).tolist()
     roots = [derive_planck_scale(*triple) for triple in constants]
-    proc = python("-c", ROOTS_SCRIPT, env={"GLIBC_TUNABLES": GLIBC_FMA_OFF},
+    proc = python("-c", ROOTS_SCRIPT, env=CPU_SETTINGS["glibc FMA off"][0],
                   input="".join(" ".join(map(float.hex, t)) + "\n" for t in constants))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{s.planck_length.hex()} {s.planck_mass.hex()}"

@@ -70,75 +70,6 @@ def test_running_sum_against_exact_windows(rate, duration, scale):
     assert error <= 1e-12 * math.sqrt(scale.lam * L40), error
 
 
-# forced OpenBLAS kernels stand in for other CPUs; each needs these host
-# features, in numpy's names
-OPENBLAS_KERNELS = {"Prescott": ["SSE3"], "Nehalem": ["SSSE3", "SSE41", "SSE42"],
-                    "Sandybridge": ["AVX"], "Haswell": ["AVX2", "FMA3"]}
-
-# at L = 40 m, windows of 7, 12, 32 and 267 samples
-WINDOW_RATES = (2.5e7, 4.5e7, 1.2e8, 1e9)
-
-# prints the sha256 of the series at each of those rates, and of its Welch PSD
-HASH_SCRIPT = f"""
-import hashlib
-from qgeom.constants import codata_scale
-from qgeom.noise import generate_timeseries, power_spectrum
-for rate in {WINDOW_RATES}:
-    series = generate_timeseries(40.0, rate, 2e-3, 3, codata_scale())
-    for bits in (series.samples, power_spectrum(series, segment_length=256).psd):
-        print(hashlib.sha256(bits.tobytes()).hexdigest())
-"""
-
-
-def numpy_cpu():
-    """numpy's dispatched optimizations and the host's features, as numpy reads them."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    return umath.__cpu_dispatch__, umath.__cpu_features__
-
-
-def run_python(python, script, **env):
-    # a fresh interpreter, where the environment can still choose numpy's kernels
-    return python("-c", script,
-                  env={"OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None, **env})
-
-
-@pytest.fixture(scope="module")
-def default_hashes(python):
-    proc = run_python(python, HASH_SCRIPT)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
-
-
-@pytest.mark.parametrize("setting", [*OPENBLAS_KERNELS, "AVX-512 off"])
-def test_series_bits_do_not_depend_on_cpu(setting, default_hashes, python, scale):
-    # a BLAS call in synthesis or Welch would take these bits from the CPU's
-    # kernel, as a dot product does from 12 samples on
-    tau = coherence_time(L40, scale)
-    assert [round(r * tau) for r in WINDOW_RATES] == [7, 12, 32, 267]
-    dispatch, features = numpy_cpu()
-    if setting in OPENBLAS_KERNELS:
-        missing = [f for f in OPENBLAS_KERNELS[setting] if not features.get(f)]
-        if missing:
-            pytest.skip(f"OPENBLAS_CORETYPE={setting}: the host lacks {' '.join(missing)}")
-        proc = run_python(python, HASH_SCRIPT, OPENBLAS_CORETYPE=setting)
-    else:
-        avx512 = [f for f in dispatch
-                  if (f.startswith("AVX512") or f == "X86_V4") and features.get(f)]
-        if not avx512:
-            pytest.skip("AVX-512 off: numpy dispatches no AVX-512 path on this host")
-        disabled = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
-        refused = run_python(python, "import numpy", **disabled)
-        if refused.returncode:
-            pytest.skip(f"AVX-512 off: numpy refuses {disabled}: "
-                        f"{refused.stderr.strip().splitlines()[-1]}")
-        proc = run_python(python, HASH_SCRIPT, **disabled)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == default_hashes
-
-
 def test_stream_seeds_distinct():
     seeds = {derive_stream_seed(7, k) for k in range(100)}
     assert len(seeds) == 100
@@ -417,6 +348,10 @@ def test_analytic_psd_refuses_overflow(scale):
         analytic_psd(5.677e16, np.array([0.0, 1e300]), scale)
     with pytest.raises(QGeomError, match="model PSD of arm length .* is not finite"):
         analytic_psd(1e300, 0.0, scale)
+    # a negative frequency is refused, not read as its undoubled mirror; -0.0 is DC
+    with pytest.raises(QGeomError, match=r"^model PSD needs frequencies >= 0, got -1000000\.0 Hz"):
+        analytic_psd(L40, -1e6, scale)
+    assert analytic_psd(L40, -0.0, scale) == analytic_psd(L40, 0.0, scale)
 
 
 @pytest.mark.filterwarnings("error")
